@@ -196,7 +196,7 @@ let run_drmt_bench () =
    "native_seq_ns_per_phv", "native_phvs_per_sec" and a third agreement
    bit "native_agree" (native trace + final state = closure trace on the
    check workload, sequential and batched).  On a machine without the
-   ocamlfind/ocamlopt toolchain those fields are omitted and a top-level
+   ocamlopt toolchain those fields are omitted and a top-level
    "native_unavailable" string carries the probe's reason — the report is
    still valid and all other gates still apply.  Additional sections:
    "batch_sweep" (scc+inline cost across batch sizes 1/16/64/256),

@@ -201,6 +201,10 @@ type trial = {
   t_outcome : outcome;
   t_shrunk : Shrink.result option; (* present iff the trial diverged and shrinking ran *)
   t_faults : fault_stats option; (* present iff fault mode ran on this trial *)
+  t_native_fallback : bool;
+      (* a native build failed, so the closures stood in for the emitted
+         module; never in the report's trial records, only counted in its
+         notes (and persisted in checkpoints) *)
 }
 
 (* What a coverage-mode trial hands back to the block loop besides its
@@ -512,12 +516,14 @@ let run_rmt_trial ~(cfg : config) ~seed ~prng ?mc_override ~depth ~width ~bits ~
    (closures standing in under the ["native-fallback@scc-inline"] label):
    same configuration count, same seeds, same classification space, so
    reports stay byte-deterministic and the degradation is reported once,
-   in the campaign notes, not per trial.
+   in the campaign notes, not per trial.  A build that fails although the
+   toolchain is available (a compiler error on one program) degrades the
+   same way and sets [fallback], which the campaign notes count.
 
    Fault mode pairs the native artifact against the interpreter — the two
    most unlike substrates in the repo — under the shared stuck/flip/drop
    overlay protocol. *)
-let run_native_trial ~(cfg : config) ~seed ~prng ~depth ~width ~bits ~stateful_name
+let run_native_trial ~(cfg : config) ~seed ~prng ~fallback ~depth ~width ~bits ~stateful_name
     ~stateless_name () =
   let desc =
     Dgen.generate
@@ -528,23 +534,20 @@ let run_native_trial ~(cfg : config) ~seed ~prng ~depth ~width ~bits ~stateful_n
   let traffic_seed = Prng.bits prng 30 in
   let inputs = Traffic.phvs (Traffic.create ~seed:traffic_seed ~width ~bits) cfg.c_phvs in
   let budget = Option.map Budget.ticks cfg.c_fuel in
-  let check mc =
+  let check ~inputs mc =
     match Oracle.check_native ?budget ~batch:cfg.c_batch ~desc ~mc ~inputs () with
     | Ok outcome -> outcome
-    | Error _unavailable -> Oracle.check_native_fallback ?budget ~batch:cfg.c_batch ~desc ~mc ~inputs ()
+    | Error _unavailable ->
+      fallback := true;
+      Oracle.check_native_fallback ?budget ~batch:cfg.c_batch ~desc ~mc ~inputs ()
   in
-  let outcome = check mc in
+  let outcome = check ~inputs mc in
   let shrunk =
     match outcome with
     | Oracle.Divergence _ when cfg.c_shrink ->
-      let repro ~inputs:inputs' ~mc =
+      let repro ~inputs ~mc =
         (match budget with Some b -> Budget.refill b | None -> ());
-        match
-          match Oracle.check_native ?budget ~batch:cfg.c_batch ~desc ~mc ~inputs:inputs' () with
-          | Ok outcome -> outcome
-          | Error _ ->
-            Oracle.check_native_fallback ?budget ~batch:cfg.c_batch ~desc ~mc ~inputs:inputs' ()
-        with
+        match check ~inputs mc with
         | Oracle.Divergence _ -> true
         | Oracle.Agree _ | Oracle.Invalid_mc _ -> false
       in
@@ -561,6 +564,7 @@ let run_native_trial ~(cfg : config) ~seed ~prng ~depth ~width ~bits ~stateful_n
         with
         | Ok native -> native
         | Error _ ->
+          fallback := true;
           Substrate.of_compiled ~label:"native-fallback@scc-inline" (Compile.compile optimized ~mc)
       in
       let pair = (Substrate.of_engine ~label:"interpreter@unoptimized" desc ~mc, candidate) in
@@ -722,9 +726,10 @@ let run_trial ?(snapshot = [||]) ~(cfg : config) index : trial * trial_extra opt
       | None -> (prng, Some Corpus.Fresh, draw_params family prng, `None)
     end
   in
+  let fallback = ref false in
   let finish (t_outcome, t_shrunk, t_faults, extra) =
     ( { t_index = index; t_seed = seed; t_params = params; t_origin; t_outcome; t_shrunk;
-        t_faults },
+        t_faults; t_native_fallback = !fallback },
       extra )
   in
   (* Containment boundary: everything below — generation, simulation,
@@ -744,7 +749,7 @@ let run_trial ?(snapshot = [||]) ~(cfg : config) index : trial * trial_extra opt
       run_drmt_trial ~cfg ~seed ~prng ~index ?entries_override ~tables ~processors
         ~n_entries:entries ()
     | Native_params { depth; width; bits; stateful; stateless } ->
-      run_native_trial ~cfg ~seed ~prng ~depth ~width ~bits ~stateful_name:stateful
+      run_native_trial ~cfg ~seed ~prng ~fallback ~depth ~width ~bits ~stateful_name:stateful
         ~stateless_name:stateless ()
   with
   | result -> finish result
@@ -773,16 +778,18 @@ let default_trial ~(cfg : config) index : trial =
         (fun fc ->
           { fs_runs = fc.fc_runs; fs_sensitive = 0; fs_substrate_mismatch = 0; fs_replay_ok = true })
         cfg.c_faults;
+    t_native_fallback = false;
   }
 
-(* A trial a checkpoint may omit: agreeing, unshrunk, and (in fault mode)
-   with the quietest possible fault stats *except* sensitivity, which is
-   program-dependent and must be persisted. *)
+(* A trial a checkpoint may omit: agreeing, unshrunk, natively built, and
+   (in fault mode) with the quietest possible fault stats *except*
+   sensitivity, which is program-dependent and must be persisted. *)
 let is_default_trial ~(cfg : config) (t : trial) =
-  (match t.t_outcome with
-  | Finished (Oracle.Agree { configs; phvs }) ->
-    configs = family_configs (family_of ~cfg t.t_index) && phvs = cfg.c_phvs
-  | _ -> false)
+  (not t.t_native_fallback)
+  && (match t.t_outcome with
+     | Finished (Oracle.Agree { configs; phvs }) ->
+       configs = family_configs (family_of ~cfg t.t_index) && phvs = cfg.c_phvs
+     | _ -> false)
   && t.t_shrunk = None
   && (match (t.t_faults, cfg.c_faults) with
      | None, None -> true
@@ -1043,6 +1050,7 @@ let trial_of_json j : trial =
     t_outcome = outcome_of_json (dfield j "outcome" Option.some);
     t_shrunk = Option.map shrunk_of_json (Report.member "shrunk" j);
     t_faults = Option.map faults_of_json (Report.member "faults" j);
+    t_native_fallback = Option.bind (Report.member "native_fallback" j) Report.to_bool = Some true;
   }
 
 (* --- Checkpoint plumbing ---------------------------------------------------- *)
@@ -1061,6 +1069,14 @@ let signature_of_config (cfg : config) : Checkpoint.signature =
     sg_faults_per_run = (match cfg.c_faults with Some fc -> fc.fc_per_run | None -> 0);
   }
 
+(* A checkpoint record is the report's trial record plus the native
+   fallback flag, which the report only counts in its notes. *)
+let checkpoint_record (t : trial) : Report.json =
+  match json_of_trial t with
+  | Report.Obj fields when t.t_native_fallback ->
+    Report.Obj (fields @ [ ("native_fallback", Report.Bool true) ])
+  | j -> j
+
 (* Only non-default trials are persisted; [completed] is the length of the
    done prefix.  Records are emitted in index order so the file itself is
    byte-deterministic for a given (config, completed) pair. *)
@@ -1068,7 +1084,7 @@ let checkpoint_of ~(cfg : config) (results : trial option array) completed : Che
   let records = ref [] in
   for i = completed - 1 downto 0 do
     match results.(i) with
-    | Some t when not (is_default_trial ~cfg t) -> records := json_of_trial t :: !records
+    | Some t when not (is_default_trial ~cfg t) -> records := checkpoint_record t :: !records
     | _ -> ()
   done;
   {
@@ -1258,6 +1274,20 @@ let run_resumable ?checkpoint ?(resume = false) ?stop_after ?should_stop (cfg : 
           match results.(i) with Some t -> t | None -> assert false (* filled above *))
     in
     let count p = List.length (List.filter p trials) in
+    (* with the toolchain available up front, a fallback trial is a
+       program whose build failed: name how many and the first, in
+       job-independent terms (no paths, pids or compiler output) *)
+    let notes =
+      match (notes, List.filter (fun t -> t.t_native_fallback) trials) with
+      | [], (first :: _ as failed) ->
+        [
+          Printf.sprintf
+            "native build failed for %d trial(s), first at trial %d; those trials ran on the \
+             interpreted fallback (native-fallback@scc-inline)"
+            (List.length failed) first.t_index;
+        ]
+      | _ -> notes
+    in
     let r_coverage =
       if not cfg.c_coverage then None
       else begin

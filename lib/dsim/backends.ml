@@ -7,7 +7,7 @@
    here plus a campaign family — no plumbing changes.
 
    [be_available] is probed before [be_create]: a backend with external
-   requirements (the native substrate needs ocamlfind + natdynlink) reports
+   requirements (the native substrate needs ocamlopt + natdynlink) reports
    a structured reason instead of failing mid-campaign, and callers degrade
    gracefully. *)
 

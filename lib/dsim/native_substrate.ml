@@ -1,5 +1,5 @@
 (* The native-codegen substrate: emit real OCaml from the pipeline IR,
-   compile it out-of-process with `ocamlfind ocamlopt -shared`, Dynlink the
+   compile it out-of-process with `ocamlopt -shared`, Dynlink the
    resulting `.cmxs` back in, and drive it behind the {!Substrate} contract.
 
    This reproduces the paper's actual dgen methodology: dgen writes Rust
@@ -18,8 +18,9 @@
      checkpoint writer's atomic tmp + fsync + rename discipline, so forked
      service workers racing on one program never observe torn artifacts.
    - {b degradation}: every entry point returns [Error reason] instead of
-     raising when the toolchain is unavailable (no ocamlfind, bytecode
-     host, no cmi directory, or [DRUZHBA_NATIVE_DISABLE] set); callers fall
+     raising when the toolchain is unavailable (no ocamlopt on [PATH],
+     bytecode host, no cmi directory, or [DRUZHBA_NATIVE_DISABLE] set) or
+     a build fails (compiler error, unusable cache directory); callers fall
      back to the interpreted paths with a structured note.
    - {b driver}: the runtime mirrors {!Compiled} tick-for-tick (ping-pong
      register file, occupancy bitmask, budget spends, fault overlays), so
@@ -40,7 +41,7 @@ module Atomic_file = Druzhba_util.Atomic_file
 
 (* --- Toolchain discovery ---------------------------------------------------- *)
 
-type toolchain = { tc_ocamlfind : string; tc_include : string }
+type toolchain = { tc_ocamlopt : string; tc_include : string }
 
 let find_in_path exe =
   match Sys.getenv_opt "PATH" with
@@ -91,22 +92,25 @@ let disabled () =
   | Some s when s <> "" -> true
   | _ -> false
 
-(* Probed per call (cheap stats), so tests can flip the environment at
-   runtime and availability tracks it. *)
+(* Probed per call (cheap stats, no child process), so tests can flip the
+   environment at runtime and availability tracks it.  The emitted module
+   uses no findlib package, so the compiler is called directly, without an
+   ocamlfind process in front; [ocamlopt.opt] is preferred because
+   [ocamlopt] may be the slower bytecode build of the compiler. *)
 let probe () : (toolchain, string) result =
   if disabled () then Error "disabled via DRUZHBA_NATIVE_DISABLE"
   else if not Dynlink.is_native then
     Error "host is running bytecode (Dynlink.is_native = false); natdynlink unavailable"
   else
-    match find_in_path "ocamlfind" with
-    | None -> Error "ocamlfind not found on PATH"
-    | Some ocamlfind -> (
+    match List.find_map find_in_path [ "ocamlopt.opt"; "ocamlopt" ] with
+    | None -> Error "ocamlopt not found on PATH"
+    | Some ocamlopt -> (
       match discover_include () with
       | None ->
         Error
           "druzhba_dsim cmi directory not found (set DRUZHBA_NATIVE_INCLUDE to the \
            .druzhba_dsim.objs/byte directory)"
-      | Some inc -> Ok { tc_ocamlfind = ocamlfind; tc_include = inc })
+      | Some inc -> Ok { tc_ocamlopt = ocamlopt; tc_include = inc })
 
 let available () : (unit, string) result = Result.map (fun _ -> ()) (probe ())
 
@@ -180,52 +184,55 @@ let run_command argv ~stderr_file : (unit, string) result =
   | Unix.WSIGNALED n | Unix.WSTOPPED n ->
     Error (Printf.sprintf "signal %d: %s" n (read_file_tail stderr_file))
 
-(* Build-cache instrumentation, read by tests and the bench report. *)
+(* Build-cache instrumentation, read by tests and the bench report.  The
+   counters are atomic because builds run outside the lock. *)
 type stats = { st_compiles : int; st_cache_hits : int; st_memo_hits : int }
 
-let n_compiles = ref 0
-let n_cache_hits = ref 0
-let n_memo_hits = ref 0
+let n_compiles = Atomic.make 0
+let n_cache_hits = Atomic.make 0
+let n_memo_hits = Atomic.make 0
 
 (* Compiles [source] into the cache if no artifact for [key] exists yet;
    returns the cached `.cmxs` path.  Staging happens in a per-pid build
    directory (ocamlopt writes its .cmi/.cmx/.o next to the source, and the
    module name must match the final file name), and publication is an
    atomic rename — two processes racing on one key each stage privately and
-   the renames serialize. *)
+   the renames serialize.  An unusable cache directory, a failed write or
+   a failed spawn is an [Error], like a compiler error. *)
 let compile_cmxs tc ~source ~key : (string, string) result =
   let cache = cache_dir () in
-  mkdir_p cache;
   let dest = Filename.concat cache (module_name key ^ ".cmxs") in
   if Sys.file_exists dest then begin
-    incr n_cache_hits;
+    Atomic.incr n_cache_hits;
     Ok dest
   end
   else begin
-    incr n_compiles;
+    Atomic.incr n_compiles;
     let build = Filename.concat cache (Printf.sprintf "build.%d.%s" (Unix.getpid ()) key) in
-    mkdir_p build;
     let ml = Filename.concat build (module_name key ^ ".ml") in
     let cmxs = Filename.concat build (module_name key ^ ".cmxs") in
-    let errf = Filename.concat build "stderr" in
-    Out_channel.with_open_bin ml (fun oc -> Out_channel.output_string oc source);
-    let argv =
-      [|
-        tc.tc_ocamlfind; "ocamlopt"; "-shared"; "-w"; "-a"; "-I"; tc.tc_include; "-o"; cmxs; ml;
-      |]
-    in
-    let result =
-      match run_command argv ~stderr_file:errf with
-      | Error e -> Error (Printf.sprintf "ocamlfind ocamlopt failed (%s)" e)
+    let compile () =
+      mkdir_p build;
+      Out_channel.with_open_bin ml (fun oc -> Out_channel.output_string oc source);
+      let argv = [| tc.tc_ocamlopt; "-shared"; "-w"; "-a"; "-I"; tc.tc_include; "-o"; cmxs; ml |] in
+      match run_command argv ~stderr_file:(Filename.concat build "stderr") with
+      | Error e -> Error (Printf.sprintf "ocamlopt failed (%s)" e)
       | Ok () ->
-        if not (Sys.file_exists cmxs) then Error "ocamlfind ocamlopt produced no .cmxs"
+        if not (Sys.file_exists cmxs) then Error "ocamlopt produced no .cmxs"
         else begin
           Atomic_file.atomic_publish ~src:cmxs ~dest;
           Ok dest
         end
     in
-    remove_tree build;
-    result
+    Fun.protect
+      ~finally:(fun () -> remove_tree build)
+      (fun () ->
+        try compile () with
+        | Unix.Unix_error (err, fn, arg) ->
+          Error
+            (Printf.sprintf "native build in %s failed: %s %s: %s" cache fn arg
+               (Unix.error_message err))
+        | Sys_error msg -> Error (Printf.sprintf "native build in %s failed: %s" cache msg))
   end
 
 let load_cmxs path : (Native_abi.plugin, string) result =
@@ -237,57 +244,91 @@ let load_cmxs path : (Native_abi.plugin, string) result =
     | Some p -> Ok p
     | None -> Error "loaded module did not register a plugin")
 
-(* Dynlink is not safe for concurrent use and the campaign runner shards
-   trials across domains, so every load (and in-process compile) runs under
-   one global mutex.  Loaded plugins are memoized per content key: the
+(* One global mutex guards three things: the plugin memo, the set of keys
+   some domain is building ([in_flight]), and Dynlink (not safe for
+   concurrent use) together with its one-slot {!Native_abi} handshake.
+   The build itself — an ocamlopt child process, most of a cold trial —
+   runs with the lock released, so domains building different programs
+   overlap.  A domain that asks for a key already in flight waits on
+   [built] and then takes the memo hit, so each program still compiles
+   once per process.  Loaded plugins are memoized per content key: the
    emitted code is pure over caller-provided arrays, so one plugin instance
    serves any number of substrate values concurrently. *)
 let lock = Mutex.create ()
+let built = Condition.create ()
 let memo : (string, Native_abi.plugin) Hashtbl.t = Hashtbl.create 16
+let in_flight : (string, unit) Hashtbl.t = Hashtbl.create 4
 
 let stats () =
-  Mutex.protect lock (fun () ->
-      { st_compiles = !n_compiles; st_cache_hits = !n_cache_hits; st_memo_hits = !n_memo_hits })
+  {
+    st_compiles = Atomic.get n_compiles;
+    st_cache_hits = Atomic.get n_cache_hits;
+    st_memo_hits = Atomic.get n_memo_hits;
+  }
 
 (* Drops the in-process plugin memo (the on-disk cache is untouched); test
    hook for exercising cache hit and corrupted-artifact paths. *)
 let clear_memo () = Mutex.protect lock (fun () -> Hashtbl.reset memo)
 
+(* Under [lock]: the memoized plugin, or [None] once this domain holds the
+   claim on [key] — after waiting out any domain already building it.  A
+   failed build is not memoized, so a woken waiter then builds the key
+   itself. *)
+let rec claim key =
+  match Hashtbl.find_opt memo key with
+  | Some p ->
+    Atomic.incr n_memo_hits;
+    Some p
+  | None when Hashtbl.mem in_flight key ->
+    Condition.wait built lock;
+    claim key
+  | None ->
+    Hashtbl.replace in_flight key ();
+    None
+
+(* Compile (lock released) and load (lock held) the plugin for a claimed
+   key. *)
+let build tc (desc : Ir.t) ~source ~key : (Native_abi.plugin, string) result =
+  let load path = Mutex.protect lock (fun () -> load_cmxs path) in
+  let result =
+    match compile_cmxs tc ~source ~key with
+    | Error e -> Error e
+    | Ok path -> (
+      match load path with
+      | Ok p -> Ok p
+      | Error first -> (
+        (* a corrupted cached artifact (torn write from a killed
+           process, stale compiler) is evicted and rebuilt once *)
+        (try Sys.remove path with Sys_error _ -> ());
+        match compile_cmxs tc ~source ~key with
+        | Error e -> Error (Printf.sprintf "%s (after evicting corrupt cache: %s)" e first)
+        | Ok path -> load path))
+  in
+  match result with
+  | Ok p when p.Native_abi.np_depth <> desc.Ir.d_depth || p.Native_abi.np_width <> desc.Ir.d_width
+    ->
+    Error "loaded plugin geometry does not match the description"
+  | Ok p ->
+    Mutex.protect lock (fun () -> Hashtbl.replace memo key p);
+    Ok p
+  | Error _ -> result
+
 let plugin_for (desc : Ir.t) ~mc : (Native_abi.plugin, string) result =
   match probe () with
   | Error e -> Error e
-  | Ok tc ->
+  | Ok tc -> (
     let source = Emit.native_source desc ~mc in
     let key = content_key source in
-    Mutex.protect lock (fun () ->
-        match Hashtbl.find_opt memo key with
-        | Some p ->
-          incr n_memo_hits;
-          Ok p
-        | None ->
-          let result =
-            match compile_cmxs tc ~source ~key with
-            | Error e -> Error e
-            | Ok path -> (
-              match load_cmxs path with
-              | Ok p -> Ok p
-              | Error first -> (
-                (* a corrupted cached artifact (torn write from a killed
-                   process, stale compiler) is evicted and rebuilt once *)
-                (try Sys.remove path with Sys_error _ -> ());
-                match compile_cmxs tc ~source ~key with
-                | Error e -> Error (Printf.sprintf "%s (after evicting corrupt cache: %s)" e first)
-                | Ok path -> load_cmxs path))
-          in
-          (match result with
-          | Ok p ->
-            if p.Native_abi.np_depth <> desc.Ir.d_depth || p.Native_abi.np_width <> desc.Ir.d_width
-            then Error "loaded plugin geometry does not match the description"
-            else begin
-              Hashtbl.replace memo key p;
-              Ok p
-            end
-          | Error _ -> result))
+    match Mutex.protect lock (fun () -> claim key) with
+    | Some p -> Ok p
+    | None ->
+      (* the claim is released and waiters woken on every path *)
+      Fun.protect
+        ~finally:(fun () ->
+          Mutex.protect lock (fun () ->
+              Hashtbl.remove in_flight key;
+              Condition.broadcast built))
+        (fun () -> build tc desc ~source ~key))
 
 (* --- Runtime driver ---------------------------------------------------------
 

@@ -96,7 +96,7 @@ let to_string d = Fmt.str "%a" pp d
    Where the pretty-printer above renders the IR for humans, [native_source]
    renders it for ocamlopt: a self-contained OCaml module of straight-line
    code that the native substrate ({!Druzhba_dsim.Native_substrate}) compiles
-   out-of-process with `ocamlfind ocamlopt -shared` and Dynlinks back in.
+   out-of-process with `ocamlopt -shared` and Dynlinks back in.
    This is the paper's actual dgen methodology — dgen emits Rust source that
    rustc compiles together with dsim; the measured artifact is the generated
    code, not an interpreter of it (§3.4).

@@ -1,5 +1,5 @@
 (* Tests for the native-codegen substrate: the {!Druzhba_pipeline.Emit} →
-   `ocamlfind ocamlopt -shared` → Dynlink chain behind
+   `ocamlopt -shared` → Dynlink chain behind
    {!Druzhba_dsim.Native_substrate}.
 
    The load-bearing property is the cross-substrate one: for random
@@ -8,10 +8,12 @@
    batched, under fault overlays, and at the exact tick a budget runs dry.
    The rest covers the machinery around that property: the
    content-addressed build cache (memo hit, disk hit, corrupted-artifact
-   recovery), emitted-source determinism (what makes the cache sound), and
-   graceful degradation when the toolchain is absent.
+   recovery), concurrent builds from several domains (one compile per
+   program, no leftover staging), emitted-source determinism (what makes
+   the cache sound), and graceful degradation when the toolchain is
+   absent, the cache directory is unusable, or a build fails.
 
-   On a machine without ocamlfind/natdynlink the whole binary degrades to
+   On a machine without ocamlopt/natdynlink the whole binary degrades to
    a single passing test that prints the probe's reason — the same
    structured skip the campaign and bench layers perform. *)
 
@@ -19,6 +21,7 @@ module Druzhba = Druzhba_core.Druzhba
 open Druzhba
 module Emit = Druzhba_pipeline.Emit
 module Oracle = Druzhba_campaign.Oracle
+module Campaign = Druzhba_campaign.Campaign
 
 let stateful_pool = [| "raw"; "sub"; "pred_raw"; "if_else_raw"; "nested_ifs"; "pair" |]
 let stateless_pool = [| "stateless_full"; "stateless_arith"; "stateless_rel"; "stateless_mux" |]
@@ -202,6 +205,93 @@ let test_corrupted_cmxs_recovery () =
       Substrate.run_into packed ~inputs buf;
       Alcotest.(check int) "recovered module simulates" 8 (Trace.Buffer.length buf))
 
+(* --- Concurrent builds --------------------------------------------------------- *)
+
+(* Runs each thunk on its own domain, released together, and returns their
+   results in order.  Fails instead of hanging when they are not all done
+   within [seconds]. *)
+let on_domains ?(seconds = 120.) thunks =
+  let n = List.length thunks in
+  let arrived = Atomic.make 0 and running = Atomic.make n in
+  let domains =
+    List.map
+      (fun f ->
+        Domain.spawn (fun () ->
+            Fun.protect
+              ~finally:(fun () -> Atomic.decr running)
+              (fun () ->
+                Atomic.incr arrived;
+                while Atomic.get arrived < n do
+                  Domain.cpu_relax ()
+                done;
+                f ())))
+      thunks
+  in
+  let deadline = Unix.gettimeofday () +. seconds in
+  while Atomic.get running > 0 do
+    if Unix.gettimeofday () > deadline then
+      Alcotest.failf "%d of %d domains still running after %.0f s" (Atomic.get running) n seconds;
+    Unix.sleepf 0.005
+  done;
+  List.map Domain.join domains
+
+let stats_delta s0 s1 =
+  ( s1.Native_substrate.st_compiles - s0.Native_substrate.st_compiles,
+    s1.Native_substrate.st_memo_hits - s0.Native_substrate.st_memo_hits,
+    s1.Native_substrate.st_cache_hits - s0.Native_substrate.st_cache_hits )
+
+(* Domains asking for a program another domain is building wait for that
+   build and take a memo hit: one compile, never a disk hit on the fresh
+   artifact, and every domain simulates the same plugin. *)
+let test_concurrent_same_program () =
+  with_temp_cache_dir (fun _dir ->
+      let desc, mc = cache_fixture () in
+      let inputs = Traffic.phvs (Traffic.create ~seed:9 ~width:1 ~bits:8) 24 in
+      let s0 = Native_substrate.stats () in
+      let runs =
+        on_domains
+          (List.init 4 (fun _ () ->
+               observe ~batched:false ~inputs ~width:1 (native_exn desc ~mc)))
+      in
+      let compiles, memo_hits, cache_hits = stats_delta s0 (Native_substrate.stats ()) in
+      Alcotest.(check int) "one compile" 1 compiles;
+      Alcotest.(check int) "three memo hits" 3 memo_hits;
+      Alcotest.(check int) "no disk cache hit" 0 cache_hits;
+      List.iter
+        (fun run -> Alcotest.(check bool) "identical traces" true (run = List.hd runs))
+        runs)
+
+(* Different programs build side by side, each in its own staging dir, and
+   nothing but the published artifacts is left in the cache. *)
+let test_concurrent_two_programs () =
+  with_temp_cache_dir (fun dir ->
+      let fixture ~stateful ~seed =
+        let desc =
+          Dgen.generate
+            (Dgen.config ~depth:2 ~width:1 ~bits:16 ())
+            ~stateful:(Atoms.find_exn stateful) ~stateless:(Atoms.find_exn "stateless_arith")
+        in
+        (desc, Fuzz.random_mc (Prng.create seed) desc)
+      in
+      let programs = [ fixture ~stateful:"pair" ~seed:31; fixture ~stateful:"pred_raw" ~seed:32 ] in
+      let s0 = Native_substrate.stats () in
+      let created =
+        on_domains (List.map (fun (desc, mc) () -> Native_substrate.create desc ~mc) programs)
+      in
+      let compiles, _, cache_hits = stats_delta s0 (Native_substrate.stats ()) in
+      Alcotest.(check int) "two compiles" 2 compiles;
+      Alcotest.(check int) "no disk cache hit" 0 cache_hits;
+      List.iter
+        (function
+          | Ok _ -> ()
+          | Error reason -> Alcotest.failf "plugin failed to load: %s" reason)
+        created;
+      Alcotest.(check int) "two published artifacts" 2 (List.length (find_cmxs dir));
+      let staging =
+        List.filter (String.starts_with ~prefix:"build.") (Array.to_list (Sys.readdir dir))
+      in
+      Alcotest.(check (list string)) "no staging dir left" [] staging)
+
 (* --- Emitted-source determinism ---------------------------------------------- *)
 
 (* Byte-identical source for equal inputs is what makes the
@@ -242,6 +332,60 @@ let test_disable_env () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "create must refuse, not Dynlink, when disabled")
 
+(* The cache directory sits under a regular file, so it cannot be created:
+   every domain that builds gets [Error] (no exception escapes), and one
+   waiting on the failed build retries it and fails the same way instead
+   of hanging. *)
+let test_unusable_cache_dir () =
+  with_temp_cache_dir (fun dir ->
+      Out_channel.with_open_bin dir (fun oc -> output_string oc "a regular file");
+      Unix.putenv "DRUZHBA_NATIVE_CACHE_DIR" (Filename.concat dir "cache");
+      let desc, mc = cache_fixture () in
+      let created = on_domains (List.init 2 (fun _ () -> Native_substrate.create desc ~mc)) in
+      List.iter
+        (function
+          | Error _ -> ()
+          | Ok _ -> Alcotest.fail "create must return Error for an unusable cache dir")
+        created)
+
+(* Per-program build failures after a successful probe: compiled
+   interfaces that exist but are garbage make every build fail.  The trials
+   degrade to the closures, and the report says so in one note that is
+   byte-identical at jobs 1 and 2. *)
+let test_build_failure_note () =
+  with_temp_cache_dir (fun dir ->
+      let include_dir = dir ^ "-cmi" in
+      Unix.mkdir include_dir 0o755;
+      List.iter
+        (fun cmi ->
+          Out_channel.with_open_bin (Filename.concat include_dir cmi) (fun oc ->
+              output_string oc "not a compiled interface"))
+        [ "druzhba_dsim.cmi"; "druzhba_dsim__Native_abi.cmi" ];
+      Unix.putenv "DRUZHBA_NATIVE_INCLUDE" include_dir;
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.putenv "DRUZHBA_NATIVE_INCLUDE" "";
+          Array.iter (fun e -> Sys.remove (Filename.concat include_dir e)) (Sys.readdir include_dir);
+          Unix.rmdir include_dir)
+        (fun () ->
+          Alcotest.(check bool) "the probe still passes" true
+            (Result.is_ok (Native_substrate.available ()));
+          let report jobs =
+            Campaign.run
+              (Campaign.config ~trials:4 ~jobs ~master_seed:5 ~substrate:"native" ~phvs:20 ())
+          in
+          let r1 = report 1 and r2 = report 2 in
+          Alcotest.(check int) "every trial still agrees" 4 r1.Campaign.r_agree;
+          Alcotest.(check (list string))
+            "one note with the count and the first trial"
+            [
+              "native build failed for 4 trial(s), first at trial 0; those trials ran on the \
+               interpreted fallback (native-fallback@scc-inline)";
+            ]
+            r1.Campaign.r_notes;
+          Alcotest.(check string) "report bytes equal at jobs 1 and 2" (Campaign.to_json r1)
+            (Campaign.to_json r2)))
+
 let available_suites =
   [
     ( "cross-substrate",
@@ -251,10 +395,19 @@ let available_suites =
         Alcotest.test_case "memo and disk hits" `Quick test_cache_hit_miss;
         Alcotest.test_case "corrupted cmxs recovery" `Quick test_corrupted_cmxs_recovery;
       ] );
+    ( "concurrency",
+      [
+        Alcotest.test_case "four domains, one program" `Quick test_concurrent_same_program;
+        Alcotest.test_case "two domains, two programs" `Quick test_concurrent_two_programs;
+      ] );
     ( "emitter",
       [ Alcotest.test_case "source determinism" `Quick test_emitted_source_deterministic ] );
     ( "degradation",
-      [ Alcotest.test_case "DRUZHBA_NATIVE_DISABLE refuses" `Quick test_disable_env ] );
+      [
+        Alcotest.test_case "DRUZHBA_NATIVE_DISABLE refuses" `Quick test_disable_env;
+        Alcotest.test_case "unusable cache dir is an Error" `Quick test_unusable_cache_dir;
+        Alcotest.test_case "build failures are noted" `Quick test_build_failure_note;
+      ] );
   ]
 
 let () =
