@@ -568,10 +568,6 @@ let campaign_cmd =
       | None, Some secs -> Some (secs * Budget.nominal_ticks_per_second)
       | None, None -> None
     in
-    let faults_cfg =
-      if faults then Some (Campaign.fault_config ~runs:fault_runs ~per_run:faults_per_run ())
-      else None
-    in
     (* chaos flags (testing aids for the service supervisor's fault-injection
        suite): at trial CHAOS_N the worker SIGKILLs itself — unconditionally
        (a poison job that dies on every attempt), or only when the arming
@@ -594,6 +590,10 @@ let campaign_cmd =
     in
     let cfg =
       try
+        let faults_cfg =
+          if faults then Some (Campaign.fault_config ~runs:fault_runs ~per_run:faults_per_run ())
+          else None
+        in
         Campaign.config ~trials ~jobs:(resolve_jobs jobs) ~master_seed:seed ~substrate ~phvs
           ~shrink:(not no_shrink) ~max_probes ?fuel ?max_failures ?faults:faults_cfg
           ~checkpoint_every ~coverage ?corpus_dir ~sabotage_pass ?hook:chaos_hook ()

@@ -317,7 +317,7 @@ let check_helper_calls (d : Ir.t) =
    plain ocamlopt) chews on for a long time — the simulation is still
    correct, the interpreted and closure substrates are unaffected, so this
    is a warning naming the offending stage, not an error.  The threshold
-   sits ~9x above the largest Table-1 stage (conga unoptimized, ~5.7k
+   sits ~17x above the largest Table-1 stage (conga unoptimized, ~2.9k
    nodes) while firing well before compile times become minutes. *)
 let emitted_size_threshold = 50_000
 

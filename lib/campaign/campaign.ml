@@ -109,7 +109,7 @@ type config = {
   c_master_seed : int;
   c_substrate : string; (* substrate-registry name: which families trials exercise *)
   c_phvs : int; (* PHVs simulated per trial *)
-  c_batch : int; (* lane count for the substrates' batched execution paths *)
+  c_batch : int; (* lane count for the closure backend's batched path *)
   c_shrink : bool; (* minimize failing trials *)
   c_max_probes : int; (* shrink budget, in oracle re-runs *)
   c_fuel : int option; (* per-trial tick budget (watchdog); None = unlimited *)
@@ -134,6 +134,9 @@ let config ?(trials = 100) ?(jobs = 1) ?(master_seed = 0xD52ba) ?(substrate = "r
     ?(phvs = 100) ?(batch = Substrate.default_batch) ?(shrink = true) ?(max_probes = 400)
     ?fuel ?max_failures ?faults ?(checkpoint_every = 64) ?(coverage = false) ?corpus_dir
     ?(sabotage_pass = false) ?hook ?sabotage () =
+  if trials <= 0 then invalid_arg "Campaign.config: trials must be positive";
+  if phvs <= 0 then invalid_arg "Campaign.config: phvs must be positive";
+  if max_probes <= 0 then invalid_arg "Campaign.config: max_probes must be positive";
   (match fuel with
   | Some f when f <= 0 -> invalid_arg "Campaign.config: fuel must be positive"
   | _ -> ());

@@ -193,9 +193,10 @@ let drmt_substrates ?cfg ~entries (p : Druzhba_drmt.P4.t) : Substrate.packed lis
    the caller — the campaign runner turns it into a timeout outcome.
 
    Runs go through the substrates' batched entry points ([batch] lanes,
-   default {!Substrate.default_batch}); the batched paths are bit-identical
-   to the sequential tick loops (enforced by the cross-path property test),
-   so outcomes are unchanged — only faster. *)
+   default {!Substrate.default_batch}); only the closure backend has a lane
+   path, which is bit-identical to its sequential tick loop (enforced by
+   the cross-path property test), and the other substrates run their
+   sequential path, so outcomes are unchanged. *)
 let diff_substrates ?budget ?batch ~(substrates : Substrate.packed list) ~inputs () : outcome =
   match substrates with
   | [] | [ _ ] ->

@@ -1,10 +1,9 @@
 (* Batched simulation driver: structure-of-arrays runs over lane chunks.
 
-   Both RMT substrates expose a stage executor over {!Vcompile.lane} rows
-   (the interpreter walks lanes through {!Druzhba_pipeline.Interp}, the
-   compiled backend sweeps {!Druzhba_pipeline.Vcompile} kernels); this
-   module owns everything around that executor so the two paths cannot
-   drift: chunking the input stream into batches of at most [cap] PHVs,
+   The closure backend's vectorized pipeline ({!Druzhba_pipeline.Vcompile})
+   executes one stage over a prefix of its lane rows; this module owns
+   everything around that stage executor: chunking the input stream into
+   batches of at most [cap] PHVs,
    gathering PHVs into row-0 lanes (with bit-flip overlays applied per
    injection slot), deriving the per-stage live lane count from the tick
    budget, scattering row-depth lanes into the trace buffer, and the final
@@ -27,7 +26,7 @@
    - dropped injection slots keep their slot index (a bubble consumes a
      tick of fuel but occupies no lane), and bit flips land at gather time
      against the original slot index, both exactly as
-     {!Faults.run_engine}/{!Faults.run_compiled} do sequentially. *)
+     {!Faults.run_compiled} does sequentially. *)
 
 module Vcompile = Druzhba_pipeline.Vcompile
 
@@ -35,11 +34,6 @@ type lane = Vcompile.lane
 
 let lane_get = Vcompile.lane_get
 let lane_set = Vcompile.lane_set
-
-type rows = lane array array (* (depth+1) x width *)
-
-let create_rows ~depth ~width ~cap : rows =
-  Array.init (depth + 1) (fun _ -> Array.init (max 1 width) (fun _ -> Vcompile.create_lane cap))
 
 (* Fault-overlay primitives, decomposed from a {!Faults.t} plan by the
    substrate wrappers (this module must not depend on {!Faults}, which
@@ -52,14 +46,6 @@ type primitives = {
 }
 
 let no_faults = { pv_dropped = [||]; pv_flips = []; pv_stuck = [||] }
-
-type ops = {
-  bo_cap : int;
-  bo_depth : int;
-  bo_width : int;
-  bo_rows : rows;
-  bo_exec : s:int -> k:int -> stuck:(int * int * int) list -> unit;
-}
 
 (* Column sweeps at the batch boundary.  Top-level functions with concrete
    lane parameters so the Bigarray accesses compile to raw loads/stores — a
@@ -75,16 +61,16 @@ let scatter_column (rows : int array array) (base : int) (l : lane) (c : int) (k
     Array.unsafe_set (Array.unsafe_get rows (base + b)) c (lane_get l b)
   done
 
-let run ?budget ?(overlays = no_faults) (ops : ops) ~inputs (buf : Trace.Buffer.t) =
+let run ?budget ?(overlays = no_faults) (v : Vcompile.t) ~inputs (buf : Trace.Buffer.t) =
   Trace.Buffer.clear buf;
-  let cap = ops.bo_cap and depth = ops.bo_depth and width = ops.bo_width in
-  if cap < 1 then invalid_arg "Batch.run: batch capacity must be >= 1";
+  let cap = v.Vcompile.v_cap and depth = v.Vcompile.v_depth and width = v.Vcompile.v_width in
   let n = List.length inputs in
   let needed = n + depth in
   let remaining0 = match budget with None -> max_int | Some b -> Budget.remaining b in
   (* number of ticks the sequential loop would execute *)
   let t_limit = if remaining0 < needed then remaining0 else max_int in
-  let row0 = ops.bo_rows.(0) and out_row = ops.bo_rows.(depth) in
+  let rows = Vcompile.rows v in
+  let row0 = rows.(0) and out_row = rows.(depth) in
   let slots = Array.make cap 0 in
   let phv_scratch : Phv.t array = Array.make cap [||] in
   let dropped = overlays.pv_dropped in
@@ -143,7 +129,7 @@ let run ?budget ?(overlays = no_faults) (ops : ops) ~inputs (buf : Trace.Buffer.
           while !ks > 0 && slots.(!ks - 1) > lim do
             decr ks
           done;
-          if !ks > 0 then ops.bo_exec ~s ~k:!ks ~stuck:(stuck_of s)
+          if !ks > 0 then Vcompile.exec_stage v ~s ~k:!ks ~stuck:(stuck_of s)
         done;
         (* output-eligible slots (<= t_limit - depth) are an ascending
            prefix too: reserve their rows in bulk and scatter by column *)

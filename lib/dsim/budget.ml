@@ -26,7 +26,7 @@ let spend b =
   if b.remaining <= 0 then raise Exhausted;
   b.remaining <- b.remaining - 1
 
-(* Spends [ticks] units at once — the batched engines' equivalent of [ticks]
+(* Spends [ticks] units at once — the batched driver's equivalent of [ticks]
    sequential {!spend}s: if fewer units remain, the budget is drained to
    exactly 0 (like a sequential run whose last successful spend left 0)
    before {!Exhausted} is raised.  @raise Exhausted as above. *)

@@ -227,16 +227,7 @@ let run_batch_into ?(init = []) ?budget ?overlays ~batch t ~inputs (buf : Trace.
       t.vec <- Some v;
       v
   in
-  let ops =
-    {
-      Batch.bo_cap = batch;
-      bo_depth = t.depth;
-      bo_width = t.width;
-      bo_rows = Vcompile.rows v;
-      bo_exec = (fun ~s ~k ~stuck -> Vcompile.exec_stage v ~s ~k ~stuck);
-    }
-  in
-  Batch.run ?budget ?overlays ops ~inputs buf
+  Batch.run ?budget ?overlays v ~inputs buf
 
 (* Runs a complete simulation on a pre-compiled pipeline, starting from
    all-zero (or [init]-preloaded) state. *)

@@ -42,9 +42,6 @@ type t = {
   state : int array array array;
   snapshots : int array array array;
   mutable tick : int;
-  (* Lazily built structure-of-arrays register file for the batched path
-     (one lane per (stage, container) slot), cached per batch capacity. *)
-  mutable batch_rows : (int * Batch.rows) option;
 }
 
 let init_table init =
@@ -108,7 +105,6 @@ let create ?(init = []) (desc : Ir.t) ~mc =
     state;
     snapshots;
     tick = 0;
-    batch_rows = None;
   }
 
 (* Installs (or clears) a structural-coverage probe on the engine's
@@ -252,74 +248,6 @@ let run_into ?budget t ~inputs (buf : Trace.Buffer.t) =
     no_inject t;
     if tick_once t then Trace.Buffer.push buf t.cur ~off:out_off
   done
-
-(* Executes stage [s] over the first [k] lanes of the batched register
-   file, one lane (= injection slot) at a time in slot order: gather the
-   lane's PHV into the stage scratch, run the stage exactly as
-   {!exec_stage} does, and scatter the mux outputs into row s+1.  [stuck]
-   lists (stateful-ALU index, slot, value) overlays asserted before every
-   lane's execution — the batched image of the sequential overlay's
-   assert-after-every-tick (state is private per ALU, so only the order of
-   one ALU's own executions matters, and that order is slot order in both
-   paths). *)
-let exec_stage_lanes t (rows : Batch.rows) s ~k ~(stuck : (int * int * int) list) =
-  let st = t.desc.Ir.d_stages.(s) in
-  let ctx = t.ctx in
-  let width = t.width in
-  let row = rows.(s) and nrow = rows.(s + 1) in
-  let phv = t.phv_scratch in
-  let args = t.args.(s) in
-  let stateless = st.Ir.s_stateless and stateful = st.Ir.s_stateful in
-  let nsl = Array.length stateless and nsf = Array.length stateful in
-  let state = t.state.(st.Ir.s_index) and snapshots = t.snapshots.(st.Ir.s_index) in
-  let n = nsl + (2 * nsf) + 1 in
-  for b = 0 to k - 1 do
-    (match stuck with
-    | [] -> ()
-    | l -> List.iter (fun (j, slot, v) -> state.(j).(slot) <- v) l);
-    for c = 0 to width - 1 do
-      phv.(c) <- Batch.lane_get row.(c) b
-    done;
-    for i = 0 to nsl - 1 do
-      args.(i) <- Interp.run_alu_into ctx stateless.(i) ~phv ~state:no_state ~snapshot:no_state
-    done;
-    for j = 0 to nsf - 1 do
-      args.(nsl + j) <-
-        Interp.run_alu_into ctx stateful.(j) ~phv ~state:state.(j) ~snapshot:snapshots.(j)
-    done;
-    for j = 0 to nsf - 1 do
-      args.(nsl + nsf + j) <- state.(j).(0)
-    done;
-    for c = 0 to width - 1 do
-      args.(n - 1) <- phv.(c);
-      Batch.lane_set nrow.(c) b (Interp.apply_output_mux ctx st.Ir.s_output_muxes.(c) ~args ~n_args:n)
-    done
-  done
-
-(* Batched mirror of {!run_into}: same contract (engine must be fresh or
-   {!reset}; final state via {!current_state}), same trace and final state
-   bit-for-bit, but driven stage-major over lane chunks of [batch] PHVs by
-   {!Batch.run}.  [overlays] carries decomposed fault primitives — see
-   {!Faults.run_engine_batched} for the faulted entry point. *)
-let run_batch_into ?budget ?overlays ~batch t ~inputs (buf : Trace.Buffer.t) =
-  let rows =
-    match t.batch_rows with
-    | Some (cap, rows) when cap = batch -> rows
-    | _ ->
-      let rows = Batch.create_rows ~depth:t.depth ~width:t.width ~cap:batch in
-      t.batch_rows <- Some (batch, rows);
-      rows
-  in
-  let ops =
-    {
-      Batch.bo_cap = batch;
-      bo_depth = t.depth;
-      bo_width = t.width;
-      bo_rows = rows;
-      bo_exec = (fun ~s ~k ~stuck -> exec_stage_lanes t rows s ~k ~stuck);
-    }
-  in
-  Batch.run ?budget ?overlays ops ~inputs buf
 
 (* Runs a complete simulation: feeds [inputs] one per tick, then drains the
    pipeline, returning the output trace.

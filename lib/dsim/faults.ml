@@ -184,16 +184,16 @@ let run_engine ?init ?budget plan (e : Engine.t) ~inputs (buf : Trace.Buffer.t) 
 
 (* --- Batched fault runs -----------------------------------------------------
 
-   The batched engines take the plan decomposed into {!Batch.primitives}
-   (the [Batch] driver cannot depend on this module).  Drops and flips are
-   applied by the driver at gather time against original injection-slot
-   indices; stuck-at slots are asserted by the stage executors before every
-   lane's execution, which together with the final assertion below is
-   equivalent to the sequential assert-after-every-tick overlay (per-ALU
-   state is private, so only each stuck ALU's own read-points matter).  The
-   final assertion also lands on the {!Budget.Exhausted} path, where the
-   sequential loop's last act was an [apply_stuck] after its final
-   committed tick. *)
+   The closure backend's batched path ({!Compiled.run_batch_into}) takes the
+   plan decomposed into {!Batch.primitives} (the [Batch] driver cannot
+   depend on this module).  Drops and flips are applied by the driver at
+   gather time against original injection-slot indices; stuck-at slots are
+   asserted by the stage executor before every lane's execution, which
+   together with the final assertion below is equivalent to the sequential
+   assert-after-every-tick overlay (per-ALU state is private, so only each
+   stuck ALU's own read-points matter).  The final assertion also lands on
+   the {!Budget.Exhausted} path, where the sequential loop's last act was an
+   [apply_stuck] after its final committed tick. *)
 
 let primitives plan ~depth : Batch.primitives =
   let stuck = Array.make (max 1 depth) [] in
@@ -207,15 +207,6 @@ let primitives plan ~depth : Batch.primitives =
     pv_flips = List.map (fun f -> (f.bf_phv, f.bf_container, f.bf_bit)) plan.fp_flips;
     pv_stuck = stuck;
   }
-
-let run_engine_batched ?init ?budget ~batch plan (e : Engine.t) ~inputs buf =
-  Engine.reset ?init e;
-  let overlays = primitives plan ~depth:e.Engine.depth in
-  (try Engine.run_batch_into ?budget ~overlays ~batch e ~inputs buf
-   with Budget.Exhausted as ex ->
-     apply_stuck_engine plan e;
-     raise ex);
-  apply_stuck_engine plan e
 
 let run_compiled_batched ?(init = []) ?budget ~batch plan (c : Compiled.t) ~inputs buf =
   let overlays = primitives plan ~depth:c.Compiled.depth in

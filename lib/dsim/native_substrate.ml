@@ -332,10 +332,11 @@ let plugin_for (desc : Ir.t) ~mc : (Native_abi.plugin, string) result =
 
 (* --- Runtime driver ---------------------------------------------------------
 
-   A faithful mirror of {!Compiled}: double-buffered flat (depth+1) x width
-   register file, occupancy bitmask, one budget unit per tick, and the
-   fault protocols of {!Faults.run_compiled}/{!Faults.run_compiled_batched}
-   transcribed over the plugin's state rows. *)
+   A faithful mirror of {!Compiled}'s sequential path: double-buffered flat
+   (depth+1) x width register file, occupancy bitmask, one budget unit per
+   tick, and the fault protocol of {!Faults.run_compiled} transcribed over
+   the plugin's state rows.  The emitted module has no batched entry point,
+   so the batched contract runs this same driver. *)
 
 type t = {
   plugin : Native_abi.plugin;
@@ -348,7 +349,6 @@ type t = {
   mutable occ : int;
   mutable tick : int;
   mutable init : (string * int array) list;
-  mutable rows : (int * Batch.rows) option; (* batched lane file, cached per capacity *)
 }
 
 let reset t = Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) t.state
@@ -455,37 +455,6 @@ let run_faults_seq ?budget plan t ~inputs (buf : Trace.Buffer.t) =
     apply_stuck t plan
   done
 
-let run_batch ?budget ?overlays ~batch t ~inputs buf =
-  rearm t;
-  let rows =
-    match t.rows with
-    | Some (cap, rows) when cap = batch -> rows
-    | _ ->
-      let rows = Batch.create_rows ~depth:t.depth ~width:t.width ~cap:batch in
-      t.rows <- Some (batch, rows);
-      rows
-  in
-  let exec = t.plugin.Native_abi.np_exec_lanes in
-  let ops =
-    {
-      Batch.bo_cap = batch;
-      bo_depth = t.depth;
-      bo_width = t.width;
-      bo_rows = rows;
-      bo_exec =
-        (fun ~s ~k ~stuck -> exec t.state s (Array.unsafe_get rows s) (Array.unsafe_get rows (s + 1)) k stuck);
-    }
-  in
-  Batch.run ?budget ?overlays ops ~inputs buf
-
-let run_faults_batched ?budget ~batch plan t ~inputs buf =
-  let overlays = Faults.primitives plan ~depth:t.depth in
-  (try run_batch ?budget ~overlays ~batch t ~inputs buf
-   with Budget.Exhausted as ex ->
-     apply_stuck t plan;
-     raise ex);
-  apply_stuck t plan
-
 module Native_sub = struct
   type nonrec t = t
 
@@ -503,10 +472,8 @@ module Native_sub = struct
     | None -> run_seq ?budget t ~inputs buf
     | Some plan -> run_faults_seq ?budget plan t ~inputs buf
 
-  let run_batch_into ?budget ?faults ~batch t ~inputs buf =
-    match faults with
-    | None -> run_batch ?budget ~batch t ~inputs buf
-    | Some plan -> run_faults_batched ?budget ~batch plan t ~inputs buf
+  let run_batch_into ?budget ?faults ~batch:_ t ~inputs buf =
+    run_into ?budget ?faults t ~inputs buf
 
   let current_state = current_state
 
@@ -542,7 +509,6 @@ let create ?(label = "native") ?(init = []) (desc : Ir.t) ~mc : (Substrate.packe
         occ = 0;
         tick = 0;
         init;
-        rows = None;
       }
     in
     reset t;

@@ -47,8 +47,9 @@ module type S = sig
   (** As [run_into] — same independent-run contract, bit-identical trace,
       final state and budget accounting — but licensed to execute up to
       [batch] PHVs per dispatch over a structure-of-arrays register file.
-      Substrates without a batched path (dRMT) satisfy it with their
-      sequential [run_into]; callers may not observe the difference. *)
+      Only the closure backend has such a path; every other substrate
+      (interpreter, native, dRMT) satisfies it with its sequential
+      [run_into], and callers may not observe the difference. *)
 
   val current_state : t -> (string * int array) list
 
@@ -99,12 +100,10 @@ module Engine_substrate = struct
       Engine.run_into ?budget t.engine ~inputs buf
     | Some plan -> Faults.run_engine ~init:t.init ?budget plan t.engine ~inputs buf
 
-  let run_batch_into ?budget ?faults ~batch t ~inputs buf =
-    match faults with
-    | None ->
-      Engine.reset ~init:t.init t.engine;
-      Engine.run_batch_into ?budget ~batch t.engine ~inputs buf
-    | Some plan -> Faults.run_engine_batched ~init:t.init ?budget ~batch plan t.engine ~inputs buf
+  (* the reference semantics keeps one path: the batched contract is its
+     sequential run *)
+  let run_batch_into ?budget ?faults ~batch:_ t ~inputs buf =
+    run_into ?budget ?faults t ~inputs buf
 
   let current_state t = Engine.current_state t.engine
   let step t ~input = Engine.step t.engine ~input

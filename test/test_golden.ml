@@ -13,6 +13,9 @@
       trace equal to the reference — the committed fixture therefore pins
       every configuration.
 
+   Two whole campaign reports (fault mode, tick budget; substrates "all"
+   and "native") are pinned the same way, byte for byte.
+
    Regenerating after an *intended* semantic change:
 
      GOLDEN_UPDATE=$PWD/test/golden dune exec test/test_golden.exe
@@ -34,6 +37,9 @@ module Substrate = Druzhba_dsim.Substrate
 module Drmt_substrate = Druzhba_dsim.Drmt_substrate
 module P4 = Druzhba_drmt.P4
 module Entries = Druzhba_drmt.Entries
+module Campaign = Druzhba_campaign.Campaign
+module Report = Druzhba_campaign.Report
+module Native_substrate = Druzhba_dsim.Native_substrate
 
 let golden_seed = 0x601d
 let golden_phvs = 10
@@ -173,6 +179,63 @@ let read_file path =
   close_in ic;
   s
 
+(* --- Campaign report fixtures --------------------------------------------------
+
+   Whole campaign reports in fault mode under a tick budget: substrate "all"
+   (RMT and dRMT trials alternate) and substrate "native".  They pin what
+   the execution paths underneath a campaign decide: each trial's class,
+   the fault-run counts, and which trials run out of fuel.  The fuel sits
+   between what a depth-1 and a depth-2 RMT trial needs (six configurations
+   in "all", three in "native"), so each fixture holds agreeing trials with
+   fault-sensitive runs and timed-out trials. *)
+
+type campaign_fixture = { cf_file : string; cf_substrate : string; cf_fuel : int }
+
+let campaign_fixtures =
+  [
+    { cf_file = "campaign_report.json"; cf_substrate = "all"; cf_fuel = 130 };
+    { cf_file = "native_campaign_report.json"; cf_substrate = "native"; cf_fuel = 64 };
+  ]
+
+(* [Error reason] when the fixture cannot be produced on this host. *)
+let campaign_fixture_report f =
+  match (f.cf_substrate, Native_substrate.available ()) with
+  | "native", Error reason -> Error reason
+  | _ ->
+    let cfg =
+      Campaign.config ~trials:24 ~jobs:1 ~master_seed:7 ~substrate:f.cf_substrate ~phvs:20
+        ~fuel:f.cf_fuel ~faults:(Campaign.fault_config ~runs:3 ()) ()
+    in
+    Ok (Campaign.to_json (Campaign.run cfg) ^ "\n")
+
+(* Does some trial record of a parsed report satisfy [pred]? *)
+let any_trial pred json =
+  match Option.bind (Report.member "results" json) Report.to_list with
+  | None -> Alcotest.fail "campaign report lacks a results list"
+  | Some results -> List.exists pred results
+
+let path keys t = List.fold_left (fun j k -> Option.bind j (Report.member k)) (Some t) keys
+
+let test_campaign_fixture f () =
+  match campaign_fixture_report f with
+  | Error reason -> Printf.printf "skipped: native toolchain unavailable (%s)\n" reason
+  | Ok got ->
+    let want = read_file (Filename.concat "golden" f.cf_file) in
+    if got <> want then
+      Alcotest.failf "campaign report differs from golden/%s (GOLDEN_UPDATE to regenerate):@.%s"
+        f.cf_file got;
+    (* the fixture must keep covering both outcomes it exists for *)
+    (match Report.parse want with
+    | Error e -> Alcotest.failf "golden/%s does not parse: %s" f.cf_file e
+    | Ok j ->
+      Alcotest.(check bool) "holds a timed-out trial" true
+        (any_trial (fun t -> path [ "outcome"; "class" ] t = Some (Report.Str "timeout")) j);
+      Alcotest.(check bool) "holds a fault-sensitive trial" true
+        (any_trial
+           (fun t ->
+             match path [ "faults"; "sensitive" ] t with Some (Report.Int n) -> n > 0 | _ -> false)
+           j))
+
 (* --- Regeneration mode --------------------------------------------------------- *)
 
 let update_fixtures dir =
@@ -190,7 +253,16 @@ let update_fixtures dir =
   let oc = open_out_bin path in
   output_string oc (drmt_render trace);
   close_out oc;
-  Printf.printf "wrote %s\n" path
+  Printf.printf "wrote %s\n" path;
+  List.iter
+    (fun f ->
+      let path = Filename.concat dir f.cf_file in
+      match campaign_fixture_report f with
+      | Error reason -> Printf.printf "kept %s: native toolchain unavailable (%s)\n" path reason
+      | Ok report ->
+        Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc report);
+        Printf.printf "wrote %s\n" path)
+    campaign_fixtures
 
 (* --- Checks ---------------------------------------------------------------------- *)
 
@@ -271,4 +343,8 @@ let () =
               Alcotest.test_case (drmt_name ^ " event=sequential") `Quick
                 test_drmt_event_matches_reference;
             ] );
+        ( "campaign reports",
+          List.map
+            (fun f -> Alcotest.test_case f.cf_file `Quick (test_campaign_fixture f))
+            campaign_fixtures );
       ]

@@ -294,10 +294,21 @@ let test_concurrent_two_programs () =
 
 (* --- Emitted-source determinism ---------------------------------------------- *)
 
+(* Non-overlapping occurrences of [sub] in [s]. *)
+let count_occurrences s sub =
+  let n = String.length sub and m = String.length s in
+  let rec go i acc =
+    if i + n > m then acc
+    else if String.sub s i n = sub then go (i + n) (acc + 1)
+    else go (i + 1) acc
+  in
+  go 0 0
+
 (* Byte-identical source for equal inputs is what makes the
    content-addressed cache sound: equal (description, machine code) must
    map to equal keys, including across independently reconstructed
-   values. *)
+   values.  The module's shape is pinned too: one [exec_stage_<s>] per
+   stage over the flat register file, and no batched lane entry point. *)
 let test_emitted_source_deterministic () =
   let source seed =
     let desc, mc, _, _ = draw_program seed in
@@ -305,9 +316,24 @@ let test_emitted_source_deterministic () =
   in
   List.iter
     (fun seed ->
+      let src = source seed in
       Alcotest.(check string)
         (Printf.sprintf "seed %d reproduces byte-identically" seed)
-        (source seed) (source seed))
+        src (source seed);
+      let desc, _, _, _ = draw_program seed in
+      let depth = desc.Ir.d_depth in
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: one stage entry point per stage" seed)
+        depth
+        (count_occurrences src "let exec_stage_");
+      for s = 0 to depth - 1 do
+        Alcotest.(check int)
+          (Printf.sprintf "seed %d: exec_stage_%d defined once" seed s)
+          1
+          (count_occurrences src (Printf.sprintf "let exec_stage_%d " s))
+      done;
+      Alcotest.(check int) "no lane dispatcher" 0 (count_occurrences src "exec_lanes");
+      Alcotest.(check int) "no Bigarray" 0 (count_occurrences src "Bigarray"))
     [ 0; 17; 4242 ];
   Alcotest.(check bool) "different programs emit different source" true
     (source 0 <> source 17)

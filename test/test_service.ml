@@ -223,6 +223,31 @@ let test_exit_code_classify () =
   Alcotest.(check string) "describe roundtrip" "interrupted"
     (Exit_code.describe (Exit_code.classify Exit_code.interrupted))
 
+(* The command line refuses what the daemon's submission schema refuses:
+   each non-positive value below is a usage error (exit 2, never a crash or
+   a findings verdict) and an [Error] from [Protocol.parse_submission] on
+   the same field. *)
+let test_cli_rejects_like_submissions () =
+  List.iter
+    (fun (field, value, args) ->
+      let what = Printf.sprintf "%s = %d" field value in
+      (match run_cli ("campaign" :: args) with
+      | Unix.WEXITED code -> Alcotest.(check int) (what ^ ": CLI usage error") 2 code
+      | _ -> Alcotest.failf "%s: CLI killed by a signal" what);
+      match parse_sub (Printf.sprintf {|{"kind":"campaign",%S:%d}|} field value) with
+      | Ok _ -> Alcotest.failf "%s: submission accepted" what
+      | Error e ->
+        Alcotest.(check bool) (what ^ ": submission refused") true (contains ~affix:"positive" e))
+    [
+      ("trials", -3, [ "--trials=-3" ]);
+      ("trials", 0, [ "--trials=0" ]);
+      ("phvs", -4, [ "--trials=2"; "--phvs=-4" ]);
+      ("phvs", 0, [ "--trials=2"; "--phvs=0" ]);
+      ("max_probes", -1, [ "--trials=2"; "--max-probes=-1" ]);
+      ("fault_runs", 0, [ "--trials=2"; "--faults"; "--fault-runs=0" ]);
+      ("faults_per_run", 0, [ "--trials=2"; "--faults"; "--faults-per-run=0" ]);
+    ]
+
 (* --- Checkpoint durability ---------------------------------------------------- *)
 
 let test_checkpoint_torn_write () =
@@ -663,6 +688,8 @@ let () =
         [
           Alcotest.test_case "report-to-code mapping" `Quick test_exit_code_mapping;
           Alcotest.test_case "verdict classification" `Quick test_exit_code_classify;
+          Alcotest.test_case "CLI refuses what submissions refuse" `Quick
+            test_cli_rejects_like_submissions;
         ] );
       ( "durability",
         [
