@@ -183,45 +183,39 @@ let run_drmt_bench () =
 
 (* --- JSON perf trajectory ------------------------------------------------------------ *)
 
-(* Machine-readable benchmark report (BENCH_pr10.json, schema
-   druzhba-bench/3): per Table-1 program and optimization level, the
-   steady-state tick cost on the compiled substrate's *batched* path
-   (ns/PHV, PHVs/sec, best of three timed runs), the sequential tick cost
-   for comparison, and the steady-state allocation rate (Gc.allocated_bytes
-   per PHV — the batched engine must keep this at ~0 too).  Each level
-   carries two agreement bits CI gates on: Engine trace = Compiled trace
-   (sequential, as in schema /1), and batched trace = sequential trace on
-   both substrates.  Schema /3 adds, per level, the Dynlinked
-   native-codegen substrate: "native_ns_per_phv" (timed through
-   [run_batch_into], which for native is the sequential driver: the emitted
-   module has one entry point per stage and no lane path),
-   "native_seq_ns_per_phv", "native_phvs_per_sec" and a third agreement
-   bit "native_agree" (native trace + final state = closure trace on the
-   check workload, sequential and batched).  On a machine without the
-   ocamlopt toolchain those fields are omitted and a top-level
+(* Machine-readable benchmark report (BENCH_pr15.json, schema
+   druzhba-bench/4): per Table-1 program and optimization level, the
+   steady-state tick cost on the compiled substrate (ns/PHV, PHVs/sec, best
+   of three timed runs) and its steady-state allocation rate
+   (Gc.allocated_bytes per PHV, which must stay at ~0).  Each executor has
+   one tick path, so "ns_per_phv" is the closures' [run_into] and
+   "native_ns_per_phv" the native module's; schema /4 drops the /3 fields
+   that timed or checked a second, batched path ("batch", "seq_ns_per_phv",
+   "native_seq_ns_per_phv", "batch_agree", "batch_sweep").  Each level
+   carries the agreement bits CI gates on: "engine_compiled_agree" (Engine
+   trace = Compiled trace) and, with the native toolchain present,
+   "native_agree" (native trace + final state = closure trace on the check
+   workload) beside "native_ns_per_phv" and "native_phvs_per_sec".  On a
+   machine without the toolchain those fields are omitted and a top-level
    "native_unavailable" string carries the probe's reason — the report is
    still valid and all other gates still apply.  Additional sections:
-   "batch_sweep" (scc+inline cost across batch sizes 1/16/64/256),
    "probe_overhead" (the coverage-probe flag must cost nothing when
-   disabled), and "drmt" as before.  Reports are read back by
-   {!Druzhba_experiments.Bench_report}, which accepts schema /1, /2 and
-   /3 — the speedup-vs-PR8 table below uses it. *)
+   disabled) and "drmt".  Reports are read back by
+   {!Druzhba_experiments.Bench_report}, which accepts schemas /1 to /4 —
+   the speedup tables below use it. *)
 
 type native_sample = {
-  nv_ns_per_phv : float; (* [run_batch_into] at the closures' batch size: the sequential driver *)
-  nv_seq_ns_per_phv : float;
+  nv_ns_per_phv : float;
   nv_phvs_per_sec : float;
   nv_agree : bool; (* native trace + state = closure trace on the check workload *)
 }
 
 type level_sample = {
   ls_level : string;
-  ls_ns_per_phv : float; (* batched path at the report's batch size *)
-  ls_seq_ns_per_phv : float; (* sequential tick loop, same workload *)
+  ls_ns_per_phv : float;
   ls_phvs_per_sec : float;
   ls_bytes_per_phv : float;
   ls_agree : bool; (* Engine trace = Compiled trace on the check workload *)
-  ls_batch_agree : bool; (* batched = sequential on both substrates *)
   ls_native : native_sample option; (* None when the toolchain is unavailable *)
 }
 
@@ -249,32 +243,12 @@ let best_of_time f =
   done;
   !best
 
-let buffers_equal (a : Trace.Buffer.t) (b : Trace.Buffer.t) =
-  Trace.Buffer.length a = Trace.Buffer.length b
-  &&
-  let n = Trace.Buffer.length a in
-  let rec go i = i >= n || (Trace.Buffer.row a i = Trace.Buffer.row b i && go (i + 1)) in
-  go 0
-
-(* Batched-vs-sequential equality through the packed substrate interface:
-   trace rows and final state must be byte-identical. *)
-let batch_agrees ~batch (packed : Substrate.packed) ~inputs =
-  let width = Substrate.width packed in
-  let capacity = List.length inputs in
-  let seq_buf = Trace.Buffer.create ~width ~capacity in
-  Substrate.run_into packed ~inputs seq_buf;
-  let seq_state = Substrate.current_state packed in
-  let bat_buf = Trace.Buffer.create ~width ~capacity in
-  Substrate.run_batch_into ~batch packed ~inputs bat_buf;
-  let bat_state = Substrate.current_state packed in
-  buffers_equal seq_buf bat_buf && seq_state = bat_state
-
-(* [native] gates the schema /3 rows: when false (toolchain probe failed)
-   the closure and interpreter measurements still run, native fields are
-   simply absent.  Substrate construction — which for native includes the
+(* [native] gates the native rows: when false (toolchain probe failed) the
+   closure and interpreter measurements still run, native fields are simply
+   absent.  Substrate construction — which for native includes the
    out-of-process ocamlopt run, the analogue of the rustc time the paper
    excludes — sits outside every timer. *)
-let measure_program ~phvs ~batch ~native (bm : Spec.benchmark) : program_sample =
+let measure_program ~phvs ~native (bm : Spec.benchmark) : program_sample =
   let compiled = Spec.compile_exn bm in
   let mc = compiled.Compiler.Codegen.c_mc in
   let desc = compiled.Compiler.Codegen.c_desc in
@@ -291,34 +265,24 @@ let measure_program ~phvs ~batch ~native (bm : Spec.benchmark) : program_sample 
       (fun (level, d) ->
         let c = Compile.compile d ~mc in
         let t = Compiled.create c in
-        (* warm-up run (pages in code paths and the lazy vectorization),
-           then best-of-N timed runs and one allocation-counted run *)
-        Compiled.run_batch_into ~init ~batch t ~inputs buf;
-        let dt = best_of_time (fun () -> Compiled.run_batch_into ~init ~batch t ~inputs buf) in
-        let a0 = Gc.allocated_bytes () in
-        Compiled.run_batch_into ~init ~batch t ~inputs buf;
-        let a1 = Gc.allocated_bytes () in
+        (* warm-up run (pages in code paths), then best-of-N timed runs and
+           one allocation-counted run *)
         Compiled.run_into ~init t ~inputs buf;
-        let dt_seq = best_of_time (fun () -> Compiled.run_into ~init t ~inputs buf) in
+        let dt = best_of_time (fun () -> Compiled.run_into ~init t ~inputs buf) in
+        let a0 = Gc.allocated_bytes () in
+        Compiled.run_into ~init t ~inputs buf;
+        let a1 = Gc.allocated_bytes () in
         let n = float_of_int phvs in
         let engine_trace = Engine.run ~init d ~mc ~inputs:check_inputs in
         let compiled_trace = Compiled.run_compiled ~init c ~inputs:check_inputs in
-        let ls_batch_agree =
-          batch_agrees ~batch (Substrate.of_compiled ~init c) ~inputs:check_inputs
-          && batch_agrees ~batch (Substrate.of_engine ~init d ~mc) ~inputs:check_inputs
-        in
         let ls_native =
           if not native then None
           else
             match Native_substrate.create ~init d ~mc with
             | Error _ -> None
             | Ok packed ->
-              Substrate.run_batch_into ~batch packed ~inputs buf;
-              let ndt =
-                best_of_time (fun () -> Substrate.run_batch_into ~batch packed ~inputs buf)
-              in
               Substrate.run_into packed ~inputs buf;
-              let ndt_seq = best_of_time (fun () -> Substrate.run_into packed ~inputs buf) in
+              let ndt = best_of_time (fun () -> Substrate.run_into packed ~inputs buf) in
               let nbuf =
                 Trace.Buffer.create ~width:bm.Spec.bm_width ~capacity:json_check_phvs
               in
@@ -333,21 +297,16 @@ let measure_program ~phvs ~batch ~native (bm : Spec.benchmark) : program_sample 
               Some
                 {
                   nv_ns_per_phv = ndt *. 1e9 /. n;
-                  nv_seq_ns_per_phv = ndt_seq *. 1e9 /. n;
                   nv_phvs_per_sec = (if ndt > 0. then n /. ndt else infinity);
-                  nv_agree =
-                    Trace.equal native_trace compiled_trace
-                    && batch_agrees ~batch packed ~inputs:check_inputs;
+                  nv_agree = Trace.equal native_trace compiled_trace;
                 }
         in
         {
           ls_level = level;
           ls_ns_per_phv = dt *. 1e9 /. n;
-          ls_seq_ns_per_phv = dt_seq *. 1e9 /. n;
           ls_phvs_per_sec = (if dt > 0. then n /. dt else infinity);
           ls_bytes_per_phv = (a1 -. a0) /. n;
           ls_agree = Trace.equal engine_trace compiled_trace;
-          ls_batch_agree;
           ls_native;
         })
       [ ("unopt", desc); ("scc", v2); ("scc+inline", v3) ]
@@ -359,37 +318,6 @@ let measure_program ~phvs ~batch ~native (bm : Spec.benchmark) : program_sample 
     ps_alu = bm.Spec.bm_stateful;
     ps_levels = levels;
   }
-
-(* --- Batch-size sweep ---------------------------------------------------------------- *)
-
-(* scc+inline cost across batch sizes: B = 1 degenerates to one lane per
-   chunk (per-stage dispatch amortized over nothing), larger B amortizes
-   dispatch and keeps the lanes cache-resident until the register file
-   outgrows L1/L2. *)
-
-let sweep_batches = [ 1; 16; 64; 256 ]
-
-type sweep_row = { sw_program : string; sw_points : (int * float) list (* batch, ns/PHV *) }
-
-let measure_sweep ~phvs (bm : Spec.benchmark) : sweep_row =
-  let compiled = Spec.compile_exn bm in
-  let mc = compiled.Compiler.Codegen.c_mc in
-  let desc = compiled.Compiler.Codegen.c_desc in
-  let init = compiled.Compiler.Codegen.c_layout.Compiler.Codegen.l_init in
-  let inputs = Traffic.phvs (Traffic.create ~seed:0xD52ba ~width:bm.Spec.bm_width ~bits:32) phvs in
-  let v3 = Optimizer.apply ~level:Optimizer.Scc_inline ~mc desc in
-  let c = Compile.compile v3 ~mc in
-  let buf = Trace.Buffer.create ~width:bm.Spec.bm_width ~capacity:phvs in
-  let points =
-    List.map
-      (fun b ->
-        let t = Compiled.create c in
-        Compiled.run_batch_into ~init ~batch:b t ~inputs buf;
-        let dt = best_of_time (fun () -> Compiled.run_batch_into ~init ~batch:b t ~inputs buf) in
-        (b, dt *. 1e9 /. float_of_int phvs))
-      sweep_batches
-  in
-  { sw_program = bm.Spec.bm_name; sw_points = points }
 
 (* --- Coverage-probe overhead --------------------------------------------------------- *)
 
@@ -505,17 +433,18 @@ let measure_drmt ~phvs : drmt_sample =
     ds_agree = Trace.equal trace_seq trace_ev;
   }
 
-let render_json ~quick ~phvs ~batch ~(native_unavailable : string option)
-    ~(drmt : drmt_sample) ~(sweep : sweep_row list) ~(po : probe_overhead)
-    (samples : program_sample list) =
+let bench_pr = 15
+let bench_path = Printf.sprintf "BENCH_pr%d.json" bench_pr
+
+let render_json ~quick ~phvs ~(native_unavailable : string option) ~(drmt : drmt_sample)
+    ~(po : probe_overhead) (samples : program_sample list) =
   let b = Buffer.create 4096 in
   let bpf fmt = Printf.bprintf b fmt in
   bpf "{\n";
-  bpf "  \"schema\": \"druzhba-bench/3\",\n";
-  bpf "  \"pr\": 10,\n";
+  bpf "  \"schema\": \"druzhba-bench/4\",\n";
+  bpf "  \"pr\": %d,\n" bench_pr;
   bpf "  \"quick\": %b,\n" quick;
   bpf "  \"phvs\": %d,\n" phvs;
-  bpf "  \"batch\": %d,\n" batch;
   (match native_unavailable with
   | Some reason -> bpf "  \"native_unavailable\": \"%s\",\n" (String.escaped reason)
   | None -> ());
@@ -535,33 +464,20 @@ let render_json ~quick ~phvs ~batch ~(native_unavailable : string option)
             | None -> ""
             | Some nv ->
               Printf.sprintf
-                ", \"native_ns_per_phv\": %.1f, \"native_seq_ns_per_phv\": %.1f, \
-                 \"native_phvs_per_sec\": %.0f, \"native_agree\": %b"
-                nv.nv_ns_per_phv nv.nv_seq_ns_per_phv nv.nv_phvs_per_sec nv.nv_agree
+                ", \"native_ns_per_phv\": %.1f, \"native_phvs_per_sec\": %.0f, \
+                 \"native_agree\": %b"
+                nv.nv_ns_per_phv nv.nv_phvs_per_sec nv.nv_agree
           in
           bpf
-            "        {\"level\": \"%s\", \"ns_per_phv\": %.1f, \"seq_ns_per_phv\": %.1f, \
-             \"phvs_per_sec\": %.0f, \"bytes_per_phv\": %.2f, \"engine_compiled_agree\": %b, \
-             \"batch_agree\": %b%s}%s\n"
-            ls.ls_level ls.ls_ns_per_phv ls.ls_seq_ns_per_phv ls.ls_phvs_per_sec
-            ls.ls_bytes_per_phv ls.ls_agree ls.ls_batch_agree native_fields
+            "        {\"level\": \"%s\", \"ns_per_phv\": %.1f, \"phvs_per_sec\": %.0f, \
+             \"bytes_per_phv\": %.2f, \"engine_compiled_agree\": %b%s}%s\n"
+            ls.ls_level ls.ls_ns_per_phv ls.ls_phvs_per_sec ls.ls_bytes_per_phv ls.ls_agree
+            native_fields
             (if j = 2 then "" else ","))
         ps.ps_levels;
       bpf "      ]\n";
       bpf "    }%s\n" (if i = List.length samples - 1 then "" else ","))
     samples;
-  bpf "  ],\n";
-  bpf "  \"batch_sweep\": [\n";
-  List.iteri
-    (fun i sw ->
-      bpf "    {\"program\": \"%s\", \"level\": \"scc+inline\", \"points\": [" sw.sw_program;
-      List.iteri
-        (fun j (bsz, ns) ->
-          bpf "{\"batch\": %d, \"ns_per_phv\": %.1f}%s" bsz ns
-            (if j = List.length sw.sw_points - 1 then "" else ", "))
-        sw.sw_points;
-      bpf "]}%s\n" (if i = List.length sweep - 1 then "" else ","))
-    sweep;
   bpf "  ],\n";
   bpf "  \"probe_overhead\": {\n";
   bpf "    \"program\": \"%s\", \"phvs\": %d,\n" po.po_program po.po_phvs;
@@ -590,8 +506,7 @@ let render_json ~quick ~phvs ~batch ~(native_unavailable : string option)
          (fun ps ->
            List.for_all
              (fun ls ->
-               ls.ls_agree && ls.ls_batch_agree
-               && match ls.ls_native with Some nv -> nv.nv_agree | None -> true)
+               ls.ls_agree && match ls.ls_native with Some nv -> nv.nv_agree | None -> true)
              ps.ps_levels)
          samples
   in
@@ -599,8 +514,9 @@ let render_json ~quick ~phvs ~batch ~(native_unavailable : string option)
   bpf "}\n";
   (Buffer.contents b, all_agree)
 
-(* Speedup table against the committed PR 5 report (sequential tick path),
-   read back through the schema-tolerant {!Bench_report} parser. *)
+(* Speedup table against the committed BENCH_pr5.json, which timed the
+   same sequential closure tick loop, read back through the schema-tolerant
+   {!Bench_report} parser. *)
 let print_speedups ~path ~baseline_path =
   match (Bench_report.of_file baseline_path, Bench_report.of_file path) with
   | Error _, _ | _, Error _ ->
@@ -612,17 +528,11 @@ let print_speedups ~path ~baseline_path =
     in
     Printf.printf "\nspeedup vs %s (scc+inline, pr%d -> pr%d):\n" baseline_path
       baseline.Bench_report.br_pr current.Bench_report.br_pr;
-    List.iter
-      (fun (program, _, s) -> Printf.printf "  %-18s %6.1fx%s\n" program s
-        (if s >= 5.0 then "" else "   (< 5x)"))
-      rows;
-    let over = List.length (List.filter (fun (_, _, s) -> s >= 5.0) rows) in
-    Printf.printf "  %d/%d rows at >= 5x\n" over (List.length rows)
+    List.iter (fun (program, _, s) -> Printf.printf "  %-18s %6.1fx\n" program s) rows
 
-(* The native substrate's [run_batch_into] cost (its sequential driver)
-   against the committed PR 8 report's *sequential* scc+inline cost (the
-   closure tick loop the emitted code replaces), per program, flagging the
-   rows under 5x. *)
+(* The native substrate's tick cost against the *sequential* scc+inline
+   cost in the committed BENCH_pr8.json (the closure tick loop the emitted
+   code replaces), per program, flagging the rows under 5x. *)
 let print_native_speedups ~path ~baseline_path =
   match (Bench_report.of_file baseline_path, Bench_report.of_file path) with
   | Error _, _ | _, Error _ ->
@@ -654,30 +564,26 @@ let print_native_speedups ~path ~baseline_path =
       let over = List.length (List.filter (fun (_, s) -> s >= 5.0) rows) in
       Printf.printf "  %d/%d rows at >= 5x\n" over (List.length rows))
 
-let run_json_report ~quick ~batch ~path =
+let run_json_report ~quick ~path =
   let phvs = if quick then 5_000 else 50_000 in
   let native_unavailable =
     match Native_substrate.available () with Ok () -> None | Error reason -> Some reason
   in
-  Printf.printf
-    "perf trajectory: %d PHVs/run, compiled substrate, batched tick path (batch %d, best of %d)\n"
-    phvs batch timed_reps;
+  Printf.printf "perf trajectory: %d PHVs/run, compiled substrate (best of %d)\n" phvs timed_reps;
   (match native_unavailable with
   | Some reason -> Printf.printf "native substrate unavailable (%s); native columns omitted\n" reason
   | None -> ());
-  Printf.printf "%-18s %-12s %12s %12s %14s %12s %6s %6s %12s %6s\n" "program" "level" "ns/PHV"
-    "seq ns" "PHVs/sec" "bytes/PHV" "agree" "batch" "native ns" "native";
+  Printf.printf "%-18s %-12s %12s %14s %12s %6s %12s %6s\n" "program" "level" "ns/PHV"
+    "PHVs/sec" "bytes/PHV" "agree" "native ns" "native";
   let samples =
     List.map
       (fun bm ->
-        let ps = measure_program ~phvs ~batch ~native:(native_unavailable = None) bm in
+        let ps = measure_program ~phvs ~native:(native_unavailable = None) bm in
         List.iter
           (fun ls ->
-            Printf.printf "%-18s %-12s %12.1f %12.1f %14.0f %12.2f %6s %6s %12s %6s\n"
-              ps.ps_program ls.ls_level ls.ls_ns_per_phv ls.ls_seq_ns_per_phv ls.ls_phvs_per_sec
-              ls.ls_bytes_per_phv
+            Printf.printf "%-18s %-12s %12.1f %14.0f %12.2f %6s %12s %6s\n" ps.ps_program
+              ls.ls_level ls.ls_ns_per_phv ls.ls_phvs_per_sec ls.ls_bytes_per_phv
               (if ls.ls_agree then "yes" else "NO")
-              (if ls.ls_batch_agree then "yes" else "NO")
               (match ls.ls_native with
               | Some nv -> Printf.sprintf "%.1f" nv.nv_ns_per_phv
               | None -> "-")
@@ -688,16 +594,6 @@ let run_json_report ~quick ~batch ~path =
         ps)
       Spec.all
   in
-  let sweep = List.map (measure_sweep ~phvs) Spec.all in
-  Printf.printf "\nbatch sweep (scc+inline, ns/PHV):\n%-18s" "program";
-  List.iter (fun b -> Printf.printf " %9s" (Printf.sprintf "B=%d" b)) sweep_batches;
-  print_newline ();
-  List.iter
-    (fun sw ->
-      Printf.printf "%-18s" sw.sw_program;
-      List.iter (fun (_, ns) -> Printf.printf " %9.1f" ns) sw.sw_points;
-      print_newline ())
-    sweep;
   let po = measure_probe_overhead ~phvs:(if quick then 2_000 else 10_000) in
   Printf.printf
     "\nprobe overhead (%s, unopt interpreter): baseline %.1f ns/PHV, on %.1f, off %.1f \
@@ -710,9 +606,7 @@ let run_json_report ~quick ~batch ~path =
         dm.dm_phvs_per_sec "-"
         (if drmt.ds_agree then "yes" else "NO"))
     drmt.ds_modes;
-  let json, all_agree =
-    render_json ~quick ~phvs ~batch ~native_unavailable ~drmt ~sweep ~po samples
-  in
+  let json, all_agree = render_json ~quick ~phvs ~native_unavailable ~drmt ~po samples in
   let oc = open_out path in
   output_string oc json;
   close_out oc;
@@ -721,8 +615,8 @@ let run_json_report ~quick ~batch ~path =
   print_native_speedups ~path ~baseline_path:"BENCH_pr8.json";
   if not all_agree then
     Printf.printf
-      "DIVERGENCE: a backend pair differs (Engine/Compiled, batched/sequential, \
-       native/closures, dRMT event/sequential) or the disabled coverage probe is not free\n";
+      "DIVERGENCE: a backend pair differs (Engine/Compiled, native/closures, dRMT \
+       event/sequential) or the disabled coverage probe is not free\n";
   all_agree
 
 (* --- main --------------------------------------------------------------------------- *)
@@ -730,26 +624,13 @@ let run_json_report ~quick ~batch ~path =
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
-(* --batch N selects the lane count for the batched measurements (default
-   {!Substrate.default_batch}). *)
-let batch_arg () =
-  let rec find i =
-    if i >= Array.length Sys.argv - 1 then None
-    else if Sys.argv.(i) = "--batch" then int_of_string_opt Sys.argv.(i + 1)
-    else find (i + 1)
-  in
-  match find 1 with
-  | Some b when b >= 1 -> b
-  | Some _ -> failwith "--batch must be >= 1"
-  | None -> Substrate.default_batch
-
 let () =
   let quick = Array.exists (( = ) "--quick") Sys.argv in
   if Array.exists (( = ) "--json") Sys.argv then begin
     (* JSON trajectory mode: only the machine-readable report (plus the
        agreement gates); exits non-zero on divergence *)
-    section "Perf trajectory (BENCH_pr10.json)";
-    if not (run_json_report ~quick ~batch:(batch_arg ()) ~path:"BENCH_pr10.json") then exit 1
+    section (Printf.sprintf "Perf trajectory (%s)" bench_path);
+    if not (run_json_report ~quick ~path:bench_path) then exit 1
   end
   else begin
   let phvs = if quick then 5_000 else 50_000 in

@@ -78,6 +78,8 @@ let usage_error fmt =
       exit 2)
     fmt
 
+let require_positive flag n = if n <= 0 then usage_error "%s must be positive (got %d)" flag n
+
 let resolve_alu spec =
   match Atoms.find spec with
   | Some alu -> alu
@@ -174,6 +176,8 @@ let program_arg =
         ~doc:"Packet program: a .domino file or a Table-1 benchmark name.")
 
 let load_program_and_target spec depth width bits stateful stateless =
+  if bits < 1 || bits > Value.max_width then
+    usage_error "--bits must be in 1..%d (got %d)" Value.max_width bits;
   match Spec.find spec with
   | Some bm -> (Spec.program bm, Spec.target ~bits bm)
   | None ->
@@ -368,13 +372,15 @@ let resolve_jobs jobs = if jobs = 0 then Campaign.Runner.default_jobs () else jo
 
 let fuzz_cmd =
   let run program depth width bits stateful stateless phvs seed level trials jobs =
+    require_positive "--phvs" phvs;
+    require_positive "--trials" trials;
     let program, target = load_program_and_target program depth width bits stateful stateless in
     match Compiler.Codegen.compile ~target program with
     | Error e ->
       Printf.eprintf "compile error: %s\n" e;
       exit 1
     | Ok compiled ->
-      if trials <= 1 then begin
+      if trials = 1 then begin
         let outcome = Compiler.Testing.check ~level ~seed ~n:phvs compiled in
         Fmt.pr "%s: %a@." program.Compiler.Ast.name Fuzz.pp_outcome outcome;
         (match outcome with
@@ -1156,12 +1162,16 @@ let drmt_cmd =
 
 let table1_cmd =
   let run phvs interpreted backend =
+    require_positive "--phvs" phvs;
     let mode =
       match backend with
       | Some name -> name
       | None -> if interpreted then "interpreter" else "compiled"
     in
-    let rows = Druzhba_experiments.Table1.run ~phvs ~mode () in
+    let rows =
+      (* Table1 fails only when the backend cannot be built *)
+      try Druzhba_experiments.Table1.run ~phvs ~mode () with Failure msg -> usage_error "%s" msg
+    in
     Fmt.pr "%a@." Druzhba_experiments.Table1.pp rows;
     Fmt.pr "%a@." Druzhba_experiments.Table1.summary rows
   in
@@ -1182,6 +1192,7 @@ let table1_cmd =
 
 let casestudy_cmd =
   let run phvs budget jobs =
+    require_positive "--phvs" phvs;
     let report =
       Druzhba_experiments.Casestudy.run ~phvs ~synth_budget:budget ~jobs:(resolve_jobs jobs) ()
     in

@@ -109,7 +109,10 @@ type config = {
   c_master_seed : int;
   c_substrate : string; (* substrate-registry name: which families trials exercise *)
   c_phvs : int; (* PHVs simulated per trial *)
-  c_batch : int; (* lane count for the closure backend's batched path *)
+  c_batch : int;
+      (* always 64 and read by nothing here: perfbench's replay still passes
+         it to {!Substrate.run_batch_into}, which ignores it; delete both with
+         the next change to the benchmark *)
   c_shrink : bool; (* minimize failing trials *)
   c_max_probes : int; (* shrink budget, in oracle re-runs *)
   c_fuel : int option; (* per-trial tick budget (watchdog); None = unlimited *)
@@ -131,9 +134,9 @@ type config = {
 }
 
 let config ?(trials = 100) ?(jobs = 1) ?(master_seed = 0xD52ba) ?(substrate = "rmt")
-    ?(phvs = 100) ?(batch = Substrate.default_batch) ?(shrink = true) ?(max_probes = 400)
-    ?fuel ?max_failures ?faults ?(checkpoint_every = 64) ?(coverage = false) ?corpus_dir
-    ?(sabotage_pass = false) ?hook ?sabotage () =
+    ?(phvs = 100) ?(shrink = true) ?(max_probes = 400) ?fuel ?max_failures ?faults
+    ?(checkpoint_every = 64) ?(coverage = false) ?corpus_dir ?(sabotage_pass = false) ?hook
+    ?sabotage () =
   if trials <= 0 then invalid_arg "Campaign.config: trials must be positive";
   if phvs <= 0 then invalid_arg "Campaign.config: phvs must be positive";
   if max_probes <= 0 then invalid_arg "Campaign.config: max_probes must be positive";
@@ -143,7 +146,6 @@ let config ?(trials = 100) ?(jobs = 1) ?(master_seed = 0xD52ba) ?(substrate = "r
   (match max_failures with
   | Some m when m <= 0 -> invalid_arg "Campaign.config: max_failures must be positive"
   | _ -> ());
-  if batch < 1 then invalid_arg "Campaign.config: batch must be positive";
   if families_of_name substrate = None then
     invalid_arg
       (Printf.sprintf "Campaign.config: unknown substrate %S (expected one of %s)" substrate
@@ -152,7 +154,7 @@ let config ?(trials = 100) ?(jobs = 1) ?(master_seed = 0xD52ba) ?(substrate = "r
   if corpus_dir <> None && not coverage then
     invalid_arg "Campaign.config: corpus_dir requires coverage mode";
   { c_trials = trials; c_jobs = jobs; c_master_seed = master_seed; c_substrate = substrate;
-    c_phvs = phvs; c_batch = batch; c_shrink = shrink; c_max_probes = max_probes; c_fuel = fuel;
+    c_phvs = phvs; c_batch = 64; c_shrink = shrink; c_max_probes = max_probes; c_fuel = fuel;
     c_max_failures = max_failures; c_faults = faults; c_checkpoint_every = checkpoint_every;
     c_coverage = coverage; c_corpus_dir = corpus_dir; c_sabotage_pass = sabotage_pass;
     c_hook = hook; c_sabotage = sabotage }
@@ -385,7 +387,7 @@ let backtrace_text () =
    scenario's plan — substrate-family-specific geometry lives in the
    caller.  Scenario seeds derive from the trial seed, so fault mode is as
    reproducible as the trial itself. *)
-let run_faults ?budget ?batch ~(fc : fault_config)
+let run_faults ?budget ~(fc : fault_config)
     ~(pair : Substrate.packed * Substrate.packed) ~(gen_plan : int -> Faults.t) ~inputs () :
     fault_stats =
   (* every sub-run gets a full tank: the watchdog bounds each simulation,
@@ -397,16 +399,16 @@ let run_faults ?budget ?batch ~(fc : fault_config)
   let a_buf = Trace.Buffer.create ~width:(Substrate.width sub_a) ~capacity in
   let b_buf = Trace.Buffer.create ~width:(Substrate.width sub_b) ~capacity in
   refill ();
-  Substrate.run_batch_into ?budget ?batch sub_a ~inputs ref_buf;
+  Substrate.run_into ?budget sub_a ~inputs ref_buf;
   let ref_state = Substrate.current_state sub_a in
   let sensitive = ref 0 and mismatch = ref 0 in
   for k = 1 to fc.fc_runs do
     let plan = gen_plan k in
     refill ();
-    Substrate.run_batch_into ?budget ?batch ~faults:plan sub_a ~inputs a_buf;
+    Substrate.run_into ?budget ~faults:plan sub_a ~inputs a_buf;
     let a_state = Substrate.current_state sub_a in
     refill ();
-    Substrate.run_batch_into ?budget ?batch ~faults:plan sub_b ~inputs b_buf;
+    Substrate.run_into ?budget ~faults:plan sub_b ~inputs b_buf;
     let b_state = Substrate.current_state sub_b in
     (* the two substrates must agree *under* the same faults... *)
     if Oracle.diff_runs ~ref_buf:a_buf ~ref_state:a_state ~act_buf:b_buf ~act_state:b_state <> None
@@ -417,14 +419,14 @@ let run_faults ?budget ?batch ~(fc : fault_config)
   done;
   (* fault-free replay on the same substrates: the overlay must leave no residue *)
   refill ();
-  Substrate.run_batch_into ?budget ?batch sub_a ~inputs a_buf;
+  Substrate.run_into ?budget sub_a ~inputs a_buf;
   let replay_a =
     Oracle.diff_runs ~ref_buf ~ref_state ~act_buf:a_buf
       ~act_state:(Substrate.current_state sub_a)
     = None
   in
   refill ();
-  Substrate.run_batch_into ?budget ?batch sub_b ~inputs b_buf;
+  Substrate.run_into ?budget sub_b ~inputs b_buf;
   let replay_b =
     Oracle.diff_runs ~ref_buf ~ref_state ~act_buf:b_buf
       ~act_state:(Substrate.current_state sub_b)
@@ -459,7 +461,7 @@ let run_rmt_trial ~(cfg : config) ~seed ~prng ?mc_override ~depth ~width ~bits ~
   let budget = Option.map Budget.ticks cfg.c_fuel in
   let transform_for mc = if cfg.c_sabotage_pass then Some (Sabotage.transform ~mc) else None in
   let outcome =
-    Oracle.check ?budget ~batch:cfg.c_batch ?transform:(transform_for mc) ~desc ~mc ~inputs ()
+    Oracle.check ?budget ?transform:(transform_for mc) ~desc ~mc ~inputs ()
   in
   let shrunk =
     match outcome with
@@ -469,8 +471,7 @@ let run_rmt_trial ~(cfg : config) ~seed ~prng ?mc_override ~depth ~width ~bits ~
            it is treated as non-reproducing by the shrinker *)
         (match budget with Some b -> Budget.refill b | None -> ());
         match
-          Oracle.check ?budget ~batch:cfg.c_batch ?transform:(transform_for mc) ~desc ~mc
-            ~inputs ()
+          Oracle.check ?budget ?transform:(transform_for mc) ~desc ~mc ~inputs ()
         with
         | Oracle.Divergence _ -> true
         | Oracle.Agree _ | Oracle.Invalid_mc _ -> false
@@ -489,7 +490,7 @@ let run_rmt_trial ~(cfg : config) ~seed ~prng ?mc_override ~depth ~width ~bits ~
         Faults.generate ~seed:(Prng.derive seed k) ~desc ~n_inputs:(List.length inputs)
           ~count:fc.fc_per_run ()
       in
-      Some (run_faults ?budget ~batch:cfg.c_batch ~fc ~pair ~gen_plan ~inputs ())
+      Some (run_faults ?budget ~fc ~pair ~gen_plan ~inputs ())
     | _ -> None
   in
   let extra =
@@ -538,11 +539,11 @@ let run_native_trial ~(cfg : config) ~seed ~prng ~fallback ~depth ~width ~bits ~
   let inputs = Traffic.phvs (Traffic.create ~seed:traffic_seed ~width ~bits) cfg.c_phvs in
   let budget = Option.map Budget.ticks cfg.c_fuel in
   let check ~inputs mc =
-    match Oracle.check_native ?budget ~batch:cfg.c_batch ~desc ~mc ~inputs () with
+    match Oracle.check_native ?budget ~desc ~mc ~inputs () with
     | Ok outcome -> outcome
     | Error _unavailable ->
       fallback := true;
-      Oracle.check_native_fallback ?budget ~batch:cfg.c_batch ~desc ~mc ~inputs ()
+      Oracle.check_native_fallback ?budget ~desc ~mc ~inputs ()
   in
   let outcome = check ~inputs mc in
   let shrunk =
@@ -575,7 +576,7 @@ let run_native_trial ~(cfg : config) ~seed ~prng ~fallback ~depth ~width ~bits ~
         Faults.generate ~seed:(Prng.derive seed k) ~desc ~n_inputs:(List.length inputs)
           ~count:fc.fc_per_run ()
       in
-      Some (run_faults ?budget ~batch:cfg.c_batch ~fc ~pair ~gen_plan ~inputs ())
+      Some (run_faults ?budget ~fc ~pair ~gen_plan ~inputs ())
     | _ -> None
   in
   (Finished outcome, shrunk, faults, None)
@@ -612,7 +613,7 @@ let run_drmt_trial ~(cfg : config) ~seed ~prng ~index ?entries_override ~tables 
   let inputs = Drmt_substrate.traffic ~seed:traffic_seed reference cfg.c_phvs in
   let budget = Option.map Budget.ticks cfg.c_fuel in
   let check inputs =
-    Oracle.diff_substrates ?budget ~batch:cfg.c_batch ~substrates:(substrates ()) ~inputs ()
+    Oracle.diff_substrates ?budget ~substrates:(substrates ()) ~inputs ()
   in
   let outcome = check inputs in
   let shrunk =
@@ -642,7 +643,7 @@ let run_drmt_trial ~(cfg : config) ~seed ~prng ~index ?entries_override ~tables 
           ~width:(Drmt_substrate.width reference)
           ~bits:8 ~n_inputs:(List.length inputs) ~count:fc.fc_per_run ()
       in
-      Some (run_faults ?budget ~batch:cfg.c_batch ~fc ~pair ~gen_plan ~inputs ())
+      Some (run_faults ?budget ~fc ~pair ~gen_plan ~inputs ())
     | _ -> None
   in
   let extra =

@@ -190,27 +190,21 @@ let drmt_substrates ?cfg ~entries (p : Druzhba_drmt.P4.t) : Substrate.packed lis
 
    [budget] (if any) is shared by all runs: one unit of fuel per simulation
    tick (or scheduled event), {!Druzhba_dsim.Budget.Exhausted} escaping to
-   the caller — the campaign runner turns it into a timeout outcome.
-
-   Runs go through the substrates' batched entry points ([batch] lanes,
-   default {!Substrate.default_batch}); only the closure backend has a lane
-   path, which is bit-identical to its sequential tick loop (enforced by
-   the cross-path property test), and the other substrates run their
-   sequential path, so outcomes are unchanged. *)
-let diff_substrates ?budget ?batch ~(substrates : Substrate.packed list) ~inputs () : outcome =
+   the caller — the campaign runner turns it into a timeout outcome. *)
+let diff_substrates ?budget ~(substrates : Substrate.packed list) ~inputs () : outcome =
   match substrates with
   | [] | [ _ ] ->
     invalid_arg "Oracle.diff_substrates: need a reference and at least one candidate"
   | reference :: candidates ->
     let capacity = List.length inputs in
     let ref_buf = Trace.Buffer.create ~width:(Substrate.width reference) ~capacity in
-    Substrate.run_batch_into ?budget ?batch reference ~inputs ref_buf;
+    Substrate.run_into ?budget reference ~inputs ref_buf;
     let ref_state = Substrate.current_state reference in
     let act_buf = Trace.Buffer.create ~width:(Substrate.width reference) ~capacity in
     let rec judge = function
       | [] -> Agree { configs = 1 + List.length candidates; phvs = capacity }
       | sub :: rest -> (
-        Substrate.run_batch_into ?budget ?batch sub ~inputs act_buf;
+        Substrate.run_into ?budget sub ~inputs act_buf;
         let act_state = Substrate.current_state sub in
         match diff_runs ~ref_buf ~ref_state ~act_buf ~act_state with
         | None -> judge rest
@@ -222,17 +216,17 @@ let diff_substrates ?budget ?batch ~(substrates : Substrate.packed list) ~inputs
 (* Validates [mc] then runs the six-configuration RMT differential check.
    [transform] is threaded to {!rmt_substrates} (candidate descriptions
    only). *)
-let check ?(init = []) ?budget ?batch ?transform ~(desc : Ir.t) ~mc ~inputs () : outcome =
+let check ?(init = []) ?budget ?transform ~(desc : Ir.t) ~mc ~inputs () : outcome =
   match Machine_code.validate ~domains:(Ir.control_domains desc) mc with
   | Error violations -> Invalid_mc violations
   | Ok () ->
-    diff_substrates ?budget ?batch
+    diff_substrates ?budget
       ~substrates:(rmt_substrates ~init ?transform ~desc ~mc ())
       ~inputs ()
 
 (* Event-driven dRMT vs sequential reference on a P4 program. *)
-let check_drmt ?budget ?batch ?cfg ~entries ~(p : Druzhba_drmt.P4.t) ~inputs () : outcome =
-  diff_substrates ?budget ?batch ~substrates:(drmt_substrates ?cfg ~entries p) ~inputs ()
+let check_drmt ?budget ?cfg ~entries ~(p : Druzhba_drmt.P4.t) ~inputs () : outcome =
+  diff_substrates ?budget ~substrates:(drmt_substrates ?cfg ~entries p) ~inputs ()
 
 (* --- Native-codegen check ----------------------------------------------------
 
@@ -277,21 +271,21 @@ let native_fallback_substrates ?(init = []) ~(desc : Ir.t) ~mc () : Substrate.pa
    [Invalid_mc], never as a native build failure), then runs the
    three-configuration native differential check.  [Error reason] only when
    the toolchain is unavailable. *)
-let check_native ?(init = []) ?budget ?batch ~(desc : Ir.t) ~mc ~inputs () :
+let check_native ?(init = []) ?budget ~(desc : Ir.t) ~mc ~inputs () :
     (outcome, string) result =
   match Machine_code.validate ~domains:(Ir.control_domains desc) mc with
   | Error violations -> Ok (Invalid_mc violations)
   | Ok () -> (
     match native_substrates ~init ~desc ~mc () with
     | Error e -> Error e
-    | Ok substrates -> Ok (diff_substrates ?budget ?batch ~substrates ~inputs ()))
+    | Ok substrates -> Ok (diff_substrates ?budget ~substrates ~inputs ()))
 
 (* The degraded twin of {!check_native}: always runs, on interpreted
    substrates only. *)
-let check_native_fallback ?(init = []) ?budget ?batch ~(desc : Ir.t) ~mc ~inputs () : outcome =
+let check_native_fallback ?(init = []) ?budget ~(desc : Ir.t) ~mc ~inputs () : outcome =
   match Machine_code.validate ~domains:(Ir.control_domains desc) mc with
   | Error violations -> Invalid_mc violations
   | Ok () ->
-    diff_substrates ?budget ?batch
+    diff_substrates ?budget
       ~substrates:(native_fallback_substrates ~init ~desc ~mc ())
       ~inputs ()

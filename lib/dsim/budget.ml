@@ -26,17 +26,6 @@ let spend b =
   if b.remaining <= 0 then raise Exhausted;
   b.remaining <- b.remaining - 1
 
-(* Spends [ticks] units at once — the batched driver's equivalent of [ticks]
-   sequential {!spend}s: if fewer units remain, the budget is drained to
-   exactly 0 (like a sequential run whose last successful spend left 0)
-   before {!Exhausted} is raised.  @raise Exhausted as above. *)
-let spend_bulk b ~ticks =
-  if b.remaining >= ticks then b.remaining <- b.remaining - ticks
-  else begin
-    b.remaining <- 0;
-    raise Exhausted
-  end
-
 (* Re-arms the budget to its full limit (one fresh sub-budget per shrink
    probe, without reallocating). *)
 let refill b = b.remaining <- b.limit

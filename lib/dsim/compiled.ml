@@ -13,7 +13,6 @@
 
 module Ir = Druzhba_pipeline.Ir
 module Compile = Druzhba_pipeline.Compile
-module Vcompile = Druzhba_pipeline.Vcompile
 module Machine_code = Druzhba_machine_code.Machine_code
 
 type t = {
@@ -30,11 +29,6 @@ type t = {
      [stateless outs; stateful outs; new state_0s; old container value]. *)
   args : int array array;
   mutable tick : int;
-  (* Lazily built vectorized (structure-of-arrays) pipeline for the batched
-     path, cached per batch capacity.  It shares the scalar closures' state
-     vectors, so reset/load_state/current_state and the sequential path all
-     see one state. *)
-  mutable vec : Vcompile.t option;
 }
 
 let create (compiled : Compile.t) =
@@ -59,7 +53,6 @@ let create (compiled : Compile.t) =
     phv_scratch = Array.make width 0;
     args;
     tick = 0;
-    vec = None;
   }
 
 (* Executes stage [s] on the PHV in row s of [cur], writing the outgoing PHV
@@ -205,29 +198,6 @@ let run_into ?(init = []) ?budget t ~inputs (buf : Trace.Buffer.t) =
     no_inject t;
     if tick_once t then Trace.Buffer.push buf t.cur ~off:out_off
   done
-
-(* Batched mirror of {!run_into}: same contract and bit-identical traces
-   and final state, but executed stage-major over lane chunks of [batch]
-   PHVs through the vectorized kernels of {!Druzhba_pipeline.Vcompile}
-   (built lazily, cached per batch capacity — like rustc compile time,
-   vectorization time is excluded from the benchmark timers).  This is the
-   Table-1 hot path: each stage's ALU sweeps a contiguous lane over the
-   whole batch, so the per-PHV closure-dispatch cost of the scalar path is
-   amortized [batch]-ways. *)
-let run_batch_into ?(init = []) ?budget ?overlays ~batch t ~inputs (buf : Trace.Buffer.t) =
-  reset t.compiled;
-  load_state t.compiled init;
-  t.occ <- 0;
-  t.tick <- 0;
-  let v =
-    match t.vec with
-    | Some v when Vcompile.cap v = batch -> v
-    | _ ->
-      let v = Vcompile.vectorize ~cap:batch t.compiled in
-      t.vec <- Some v;
-      v
-  in
-  Batch.run ?budget ?overlays v ~inputs buf
 
 (* Runs a complete simulation on a pre-compiled pipeline, starting from
    all-zero (or [init]-preloaded) state. *)

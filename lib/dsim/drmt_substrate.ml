@@ -182,11 +182,6 @@ module M = struct
         Trace.Buffer.push buf row ~off:0)
       result.Sim.r_packets
 
-  (* dRMT has no per-stage register file to vectorize; the batched contract
-     is satisfied by the sequential path (same trace, state and budget). *)
-  let run_batch_into ?budget ?faults ~batch:_ t ~inputs buf =
-    run_into ?budget ?faults t ~inputs buf
-
   let current_state t =
     List.map
       (fun name ->

@@ -182,40 +182,6 @@ let run_engine ?init ?budget plan (e : Engine.t) ~inputs (buf : Trace.Buffer.t) 
     apply_stuck_engine plan e
   done
 
-(* --- Batched fault runs -----------------------------------------------------
-
-   The closure backend's batched path ({!Compiled.run_batch_into}) takes the
-   plan decomposed into {!Batch.primitives} (the [Batch] driver cannot
-   depend on this module).  Drops and flips are applied by the driver at
-   gather time against original injection-slot indices; stuck-at slots are
-   asserted by the stage executor before every lane's execution, which
-   together with the final assertion below is equivalent to the sequential
-   assert-after-every-tick overlay (per-ALU state is private, so only each
-   stuck ALU's own read-points matter).  The final assertion also lands on
-   the {!Budget.Exhausted} path, where the sequential loop's last act was an
-   [apply_stuck] after its final committed tick. *)
-
-let primitives plan ~depth : Batch.primitives =
-  let stuck = Array.make (max 1 depth) [] in
-  List.iter
-    (fun s ->
-      if s.sk_stage < depth then
-        stuck.(s.sk_stage) <- stuck.(s.sk_stage) @ [ (s.sk_alu, s.sk_slot, s.sk_value) ])
-    plan.fp_stuck;
-  {
-    Batch.pv_dropped = plan.fp_dropped;
-    pv_flips = List.map (fun f -> (f.bf_phv, f.bf_container, f.bf_bit)) plan.fp_flips;
-    pv_stuck = stuck;
-  }
-
-let run_compiled_batched ?(init = []) ?budget ~batch plan (c : Compiled.t) ~inputs buf =
-  let overlays = primitives plan ~depth:c.Compiled.depth in
-  (try Compiled.run_batch_into ~init ?budget ~overlays ~batch c ~inputs buf
-   with Budget.Exhausted as ex ->
-     apply_stuck_compiled plan c;
-     raise ex);
-  apply_stuck_compiled plan c
-
 let run_compiled ?(init = []) ?budget plan (c : Compiled.t) ~inputs (buf : Trace.Buffer.t) =
   Compiled.reset c.Compiled.compiled;
   Compiled.load_state c.Compiled.compiled init;

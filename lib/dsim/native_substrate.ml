@@ -332,11 +332,10 @@ let plugin_for (desc : Ir.t) ~mc : (Native_abi.plugin, string) result =
 
 (* --- Runtime driver ---------------------------------------------------------
 
-   A faithful mirror of {!Compiled}'s sequential path: double-buffered flat
+   A faithful mirror of {!Compiled}'s tick loop: double-buffered flat
    (depth+1) x width register file, occupancy bitmask, one budget unit per
    tick, and the fault protocol of {!Faults.run_compiled} transcribed over
-   the plugin's state rows.  The emitted module has no batched entry point,
-   so the batched contract runs this same driver. *)
+   the plugin's state rows. *)
 
 type t = {
   plugin : Native_abi.plugin;
@@ -471,9 +470,6 @@ module Native_sub = struct
     match faults with
     | None -> run_seq ?budget t ~inputs buf
     | Some plan -> run_faults_seq ?budget plan t ~inputs buf
-
-  let run_batch_into ?budget ?faults ~batch:_ t ~inputs buf =
-    run_into ?budget ?faults t ~inputs buf
 
   let current_state = current_state
 

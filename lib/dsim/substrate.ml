@@ -22,9 +22,13 @@
    - [step]/[boundaries] are the debugger surface: advance one tick with an
      optional injected PHV, and snapshot the PHV at each pipeline boundary.
 
+   Every substrate has exactly one tick loop, [run_into]: the oracle,
+   campaigns, fault runs, Table 1 and the bench all time and diff it.
+
    Values are packed existentially ([packed]) so heterogeneous substrate
    lists — interpreter at three optimization levels, compiled closures,
-   event-driven dRMT, sequential dRMT — flow through one oracle. *)
+   native modules, event-driven dRMT, sequential dRMT — flow through one
+   oracle. *)
 
 module type S = sig
   type t
@@ -42,15 +46,6 @@ module type S = sig
 
   val run_into : ?budget:Budget.t -> ?faults:Faults.t -> t -> inputs:Phv.t list -> Trace.Buffer.t -> unit
 
-  val run_batch_into :
-    ?budget:Budget.t -> ?faults:Faults.t -> batch:int -> t -> inputs:Phv.t list -> Trace.Buffer.t -> unit
-  (** As [run_into] — same independent-run contract, bit-identical trace,
-      final state and budget accounting — but licensed to execute up to
-      [batch] PHVs per dispatch over a structure-of-arrays register file.
-      Only the closure backend has such a path; every other substrate
-      (interpreter, native, dRMT) satisfies it with its sequential
-      [run_into], and callers may not observe the difference. *)
-
   val current_state : t -> (string * int array) list
 
   val step : t -> input:Phv.t option -> Phv.t option
@@ -67,14 +62,10 @@ let load_state (Packed ((module M), t)) init = M.load_state t init
 let run_into ?budget ?faults (Packed ((module M), t)) ~inputs buf =
   M.run_into ?budget ?faults t ~inputs buf
 
-(* Default batch capacity for the batched differential paths: large enough
-   to amortize per-stage dispatch, small enough that a whole lane file
-   (every (stage, container) slot plus ALU outputs at 8 bytes per slot per
-   lane) stays L1/L2-resident on the Table-1 geometries. *)
-let default_batch = 64
-
-let run_batch_into ?budget ?faults ?(batch = default_batch) (Packed ((module M), t)) ~inputs buf =
-  M.run_batch_into ?budget ?faults ~batch t ~inputs buf
+(* [run_into] under its old batched name; [batch] is ignored.  It stays
+   only because the benchmark's own sources (perfbench/) still call it, and
+   only a change to the benchmark may edit them; delete it with that change. *)
+let run_batch_into ?budget ?faults ?batch:_ p ~inputs buf = run_into ?budget ?faults p ~inputs buf
 
 let current_state (Packed ((module M), t)) = M.current_state t
 let step (Packed ((module M), t)) ~input = M.step t ~input
@@ -99,11 +90,6 @@ module Engine_substrate = struct
       Engine.reset ~init:t.init t.engine;
       Engine.run_into ?budget t.engine ~inputs buf
     | Some plan -> Faults.run_engine ~init:t.init ?budget plan t.engine ~inputs buf
-
-  (* the reference semantics keeps one path: the batched contract is its
-     sequential run *)
-  let run_batch_into ?budget ?faults ~batch:_ t ~inputs buf =
-    run_into ?budget ?faults t ~inputs buf
 
   let current_state t = Engine.current_state t.engine
   let step t ~input = Engine.step t.engine ~input
@@ -130,11 +116,6 @@ module Compiled_substrate = struct
     match faults with
     | None -> Compiled.run_into ~init:t.init ?budget t.compiled ~inputs buf
     | Some plan -> Faults.run_compiled ~init:t.init ?budget plan t.compiled ~inputs buf
-
-  let run_batch_into ?budget ?faults ~batch t ~inputs buf =
-    match faults with
-    | None -> Compiled.run_batch_into ~init:t.init ?budget ~batch t.compiled ~inputs buf
-    | Some plan -> Faults.run_compiled_batched ~init:t.init ?budget ~batch plan t.compiled ~inputs buf
 
   let current_state t = Compiled.current_state t.compiled
   let step t ~input = Compiled.step t.compiled ~input

@@ -94,26 +94,6 @@ module Buffer = struct
     Array.blit src off b.rows.(b.len) 0 b.row_width;
     b.len <- b.len + 1
 
-  (* Bulk reservation for the batched scatter path: appends [k] rows in one
-     step and returns the index of the first.  The reserved rows hold stale
-     data from earlier runs — the caller must overwrite every cell (the
-     batched driver scatters all [row_width] columns of each row). *)
-  let rec extend b k : int =
-    if b.len + k > Array.length b.rows then begin
-      grow b;
-      extend b k
-    end
-    else begin
-      let base = b.len in
-      b.len <- b.len + k;
-      base
-    end
-
-  (* Raw row store backing the buffer, for bulk writers paired with
-     {!extend}.  Must be re-fetched after any [push]/[extend] (growth swaps
-     the array); rows at index >= [length] are scratch. *)
-  let raw_rows b : int array array = b.rows
-
   (* Borrowed view of row [i]: valid until the next [clear]/[push] cycle
      overwrites it; callers must not mutate or retain it. *)
   let row b i : Phv.t =

@@ -6,6 +6,8 @@
    bits) and /3 (PR 10; adds per-level "native_*" fields for the
    Dynlinked native-codegen substrate, or a top-level
    "native_unavailable" reason when the build toolchain is absent).
+   Schema /4 is /3 without the batch fields: every executor has one tick
+   path again, so "ns_per_phv" is the closures' only loop.
    This module parses any of those versions into one row shape so the
    perf-trajectory tooling and the tests can diff reports across PRs
    without caring which harness wrote them.
@@ -181,21 +183,22 @@ type level_row = {
   br_program : string;
   br_level : string;
   br_ns_per_phv : float;
-  br_seq_ns_per_phv : float option; (* schema /2 onwards *)
+  br_seq_ns_per_phv : float option; (* schemas /2 and /3 *)
   br_agree : bool;
-  br_native_ns_per_phv : float option; (* schema /3, toolchain present *)
-  br_native_agree : bool option; (* schema /3, toolchain present *)
+  br_native_ns_per_phv : float option; (* schema /3 onwards, toolchain present *)
+  br_native_agree : bool option; (* schema /3 onwards, toolchain present *)
 }
 
 type t = {
   br_schema : string;
   br_pr : int;
-  br_batch : int option; (* schema /2 onwards *)
-  br_native_unavailable : string option; (* schema /3, toolchain absent *)
+  br_batch : int option; (* schemas /2 and /3 *)
+  br_native_unavailable : string option; (* schema /3 onwards, toolchain absent *)
   br_rows : level_row list; (* program-major, level order as written *)
 }
 
-let supported_schemas = [ "druzhba-bench/1"; "druzhba-bench/2"; "druzhba-bench/3" ]
+let supported_schemas =
+  [ "druzhba-bench/1"; "druzhba-bench/2"; "druzhba-bench/3"; "druzhba-bench/4" ]
 
 let of_json (j : json) : (t, string) result =
   match string_field "schema" j with
@@ -273,9 +276,9 @@ let speedups ~(baseline : t) ~(current : t) : (string * string * float) list =
       | _ -> None)
     current.br_rows
 
-(* Within one schema /3 report: per-(program, level) speedup of the
-   Dynlinked native substrate over the batched closure path — closure
-   ns/PHV divided by native ns/PHV (higher means native is faster).
+(* Within one schema /3 or /4 report: per-(program, level) speedup of the
+   Dynlinked native substrate over the closure path (batched in /3) —
+   closure ns/PHV divided by native ns/PHV (higher means native is faster).
    Rows without native measurements (older schemas, or a report written
    on a toolchain-less machine) are skipped, so the join is empty when
    [br_native_unavailable] is set. *)

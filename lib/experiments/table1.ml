@@ -40,8 +40,7 @@ let time_ms f =
   let _ = f () in
   (Unix.gettimeofday () -. t0) *. 1000.
 
-let run_benchmark ?(phvs = 50_000) ?(seed = 0xD52ba) ?(batch = Substrate.default_batch)
-    ~(mode : mode) (bm : Spec.benchmark) : row =
+let run_benchmark ?(phvs = 50_000) ?(seed = 0xD52ba) ~(mode : mode) (bm : Spec.benchmark) : row =
   let compiled = Spec.compile_exn bm in
   let mc = compiled.Compiler.Codegen.c_mc in
   let desc = compiled.Compiler.Codegen.c_desc in
@@ -68,10 +67,7 @@ let run_benchmark ?(phvs = 50_000) ?(seed = 0xD52ba) ?(batch = Substrate.default
       | Ok s -> s
       | Error reason -> failwith (Printf.sprintf "backend %S unavailable: %s" mode reason)
     in
-    (* warm once outside the timer so lazy vectorization (the analogue of
-       rustc compile time) is excluded, like closure compilation above *)
-    Substrate.run_batch_into ~batch substrate ~inputs:[] buf;
-    time_ms (fun () -> Substrate.run_batch_into ~batch substrate ~inputs buf)
+    time_ms (fun () -> Substrate.run_into substrate ~inputs buf)
   in
   {
     row_program = bm.Spec.bm_name;
@@ -83,8 +79,8 @@ let run_benchmark ?(phvs = 50_000) ?(seed = 0xD52ba) ?(batch = Substrate.default
     row_inline_ms = measure v3;
   }
 
-let run ?phvs ?seed ?batch ?(mode = "compiled") () : row list =
-  List.map (fun bm -> run_benchmark ?phvs ?seed ?batch ~mode bm) Spec.all
+let run ?phvs ?seed ?(mode = "compiled") () : row list =
+  List.map (fun bm -> run_benchmark ?phvs ?seed ~mode bm) Spec.all
 
 let pp_row ppf r =
   Fmt.pf ppf "%-18s %d,%-2d %-12s %10.0f %16.0f %21.0f" r.row_program r.row_depth r.row_width

@@ -61,10 +61,6 @@ type t = {
   c_width : int;
   c_bits : Value.width;
   c_stages : compiled_stage array;
-  (* Source description and machine code, retained so the vectorizing batch
-     backend ({!Vcompile}) can be built lazily from a compiled pipeline. *)
-  c_desc : Ir.t;
-  c_mc : Machine_code.t;
 }
 
 (* --- Expression compilation ------------------------------------------------ *)
@@ -282,4 +278,4 @@ let compile (d : Ir.t) ~mc : t =
         })
       d.Ir.d_stages
   in
-  { c_depth = d.Ir.d_depth; c_width = d.Ir.d_width; c_bits = bits; c_stages = stages; c_desc = d; c_mc = mc }
+  { c_depth = d.Ir.d_depth; c_width = d.Ir.d_width; c_bits = bits; c_stages = stages }

@@ -1,17 +1,13 @@
-(* Cross-path equivalence property for the batched tick engine.
+(* Cross-path equivalence property for the batched entry point.
 
-   The contract behind every batched entry point ({!Substrate.run_batch_into}
-   and the drivers underneath it) is bit-identity with the sequential tick
-   loop: same output rows, same final state, same budget accounting, same
-   {!Budget.Exhausted} behaviour — under any batch size, fault overlay, and
-   mid-run fuel exhaustion.  The property below drives random programs
-   (depth x width x atom pool, random machine code) through both paths on
-   both RMT substrates at two optimization levels and requires every
-   observable to match exactly.
-
-   This is the test the oracle and campaign lean on when they route all
-   their runs through the batched path: if it holds, batching is purely a
-   throughput change. *)
+   {!Substrate.run_batch_into} is kept, as an alias of [run_into] that
+   ignores its batch size, for the benchmark's sources.  Its contract is
+   bit-identity with the tick loop: same output rows, same final state, same
+   budget accounting, same {!Budget.Exhausted} behaviour — under any batch
+   size, fault overlay, and mid-run fuel exhaustion.  The property below
+   drives random programs (depth x width x atom pool, random machine code)
+   through both entry points on both RMT substrates at two optimization
+   levels and requires every observable to match exactly. *)
 
 module Prng = Druzhba_util.Prng
 module Ir = Druzhba_pipeline.Ir

@@ -4,7 +4,7 @@
    batched path) and /3 (PR 10, native-codegen substrate columns) — since
    the perf-trajectory tooling diffs one against the other; it must also
    reject malformed or unknown-schema documents loudly rather than
-   returning partial rows. *)
+   returning partial rows.  Schema /4 is /3 without the batch fields. *)
 
 module Bench_report = Druzhba_experiments.Bench_report
 
@@ -79,6 +79,41 @@ let sample_v3_degraded =
   ]
 }|}
 
+(* Schema /4: one tick path per executor, so no "batch", "seq_ns_per_phv",
+   "native_seq_ns_per_phv", "batch_agree" or "batch_sweep". *)
+let sample_v4 =
+  {|{
+  "schema": "druzhba-bench/4",
+  "pr": 15,
+  "quick": false,
+  "phvs": 50000,
+  "timed_reps": 3,
+  "check_phvs": 64,
+  "programs": [
+    {
+      "program": "spam_detection", "depth": 1, "width": 1, "alu": "raw",
+      "levels": [
+        {"level": "unopt", "ns_per_phv": 400.0, "phvs_per_sec": 2500000, "bytes_per_phv": 0.01, "engine_compiled_agree": true},
+        {"level": "scc+inline", "ns_per_phv": 199.8, "phvs_per_sec": 5005005, "bytes_per_phv": 0.01, "engine_compiled_agree": true, "native_ns_per_phv": 25.0, "native_phvs_per_sec": 40000000, "native_agree": true}
+      ]
+    }
+  ],
+  "probe_overhead": {
+    "program": "sampling", "phvs": 10000,
+    "baseline_ns_per_phv": 900.0, "on_ns_per_phv": 1400.0, "off_ns_per_phv": 910.0,
+    "off_ratio": 1.011, "off_ratio_bound": 1.5, "within_bound": true
+  },
+  "drmt": {
+    "program": "l2l3", "tables": 3, "phvs": 20000,
+    "modes": [
+      {"mode": "sequential", "ns_per_phv": 2000.0, "phvs_per_sec": 500000},
+      {"mode": "event", "ns_per_phv": 5000.0, "phvs_per_sec": 200000}
+    ],
+    "event_sequential_agree": true
+  },
+  "all_agree": true
+}|}
+
 let check_ok = function
   | Ok r -> r
   | Error msg -> Alcotest.failf "expected successful parse, got: %s" msg
@@ -121,6 +156,23 @@ let test_reads_v3 () =
   | Some row ->
     Alcotest.(check bool) "native fields optional per level" true
       (row.Bench_report.br_native_ns_per_phv = None)
+
+let test_reads_v4 () =
+  let r = check_ok (Bench_report.of_string sample_v4) in
+  Alcotest.(check string) "schema" "druzhba-bench/4" r.Bench_report.br_schema;
+  Alcotest.(check int) "pr" 15 r.Bench_report.br_pr;
+  Alcotest.(check bool) "no batch field in v4" true (r.Bench_report.br_batch = None);
+  Alcotest.(check int) "rows" 2 (List.length r.Bench_report.br_rows);
+  (match Bench_report.find_row r ~program:"spam_detection" ~level:"scc+inline" with
+  | None -> Alcotest.fail "missing scc+inline row"
+  | Some row ->
+    Alcotest.(check (float 0.001)) "ns/PHV" 199.8 row.Bench_report.br_ns_per_phv;
+    Alcotest.(check bool) "no seq ns in v4" true (row.Bench_report.br_seq_ns_per_phv = None);
+    Alcotest.(check bool) "native ns parsed" true
+      (row.Bench_report.br_native_ns_per_phv = Some 25.0));
+  match Bench_report.native_speedups r with
+  | [ ("spam_detection", "scc+inline", s) ] -> Alcotest.(check (float 0.001)) "199.8 / 25" 7.992 s
+  | rows -> Alcotest.failf "expected one native row, got %d" (List.length rows)
 
 let test_native_speedup_join () =
   let r = check_ok (Bench_report.of_string sample_v3) in
@@ -185,6 +237,7 @@ let () =
           Alcotest.test_case "reads schema /1" `Quick test_reads_v1;
           Alcotest.test_case "reads schema /2" `Quick test_reads_v2;
           Alcotest.test_case "reads schema /3" `Quick test_reads_v3;
+          Alcotest.test_case "reads schema /4" `Quick test_reads_v4;
           Alcotest.test_case "native-vs-batched speedup join" `Quick test_native_speedup_join;
           Alcotest.test_case "speedups join across schemas" `Quick test_speedups_across_schemas;
           Alcotest.test_case "rejects malformed input" `Quick test_rejects_malformed;

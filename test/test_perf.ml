@@ -57,33 +57,31 @@ let test_steady_state_allocation (bm : Spec.benchmark) () =
     Alcotest.failf "%s: %.2f bytes allocated per steady-state PHV (bound %.0f)" bm.Spec.bm_name
       per_phv bytes_per_phv_bound
 
-(* The batched lane loop must hold the same bound: SoA lanes, the step
-   closures, and the bulk scatter are all preallocated at vectorization
-   time, so the steady state allocates nothing per PHV. *)
+(* The batched entry point ({!Substrate.run_batch_into}, now an alias of
+   [run_into] kept for the benchmark's sources) must hold the same bound
+   through the packed substrate interface. *)
 let test_batched_steady_state_allocation (bm : Spec.benchmark) () =
   let desc, mc, init = setup bm in
   let inputs =
     Traffic.phvs (Traffic.create ~seed:0xA110C ~width:bm.Spec.bm_width ~bits:32) alloc_phvs
   in
   let v3 = Optimizer.apply ~level:Optimizer.Scc_inline ~mc desc in
-  let c = Compile.compile v3 ~mc in
-  let t = Compiled.create c in
+  let packed = Druzhba_dsim.Substrate.of_compiled ~init (Compile.compile v3 ~mc) in
   let buf = Trace.Buffer.create ~width:bm.Spec.bm_width ~capacity:alloc_phvs in
-  (* warm-up also triggers the lazy vectorization, which allocates once *)
-  Compiled.run_batch_into ~init ~batch:64 t ~inputs buf;
+  Druzhba_dsim.Substrate.run_batch_into ~batch:64 packed ~inputs buf;
   let a0 = Gc.allocated_bytes () in
-  Compiled.run_batch_into ~init ~batch:64 t ~inputs buf;
+  Druzhba_dsim.Substrate.run_batch_into ~batch:64 packed ~inputs buf;
   let a1 = Gc.allocated_bytes () in
   let per_phv = (a1 -. a0) /. float_of_int alloc_phvs in
   if per_phv >= bytes_per_phv_bound then
     Alcotest.failf "%s: %.2f bytes allocated per steady-state batched PHV (bound %.0f)"
       bm.Spec.bm_name per_phv bytes_per_phv_bound
 
-(* Batched = sequential on every Table-1 program, level and substrate, at a
-   cache-sized batch and a deliberately awkward one (7 leaves a ragged tail
-   chunk on most input counts).  The random-program property test in
-   test_batch.ml covers the same contract across geometry, faults and
-   budgets; this pins the real benchmark programs. *)
+(* Batched = sequential on every Table-1 program, level and substrate, at
+   two batch sizes the {!Substrate.run_batch_into} alias must ignore.  The
+   random-program property test in test_batch.ml covers the same contract
+   across geometry, faults and budgets; this pins the real benchmark
+   programs. *)
 let test_batched_equals_sequential (bm : Spec.benchmark) () =
   let desc, mc, init = setup bm in
   let inputs = Traffic.phvs (Traffic.create ~seed:0xFA57 ~width:bm.Spec.bm_width ~bits:32) 50 in

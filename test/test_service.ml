@@ -51,14 +51,16 @@ let rec rm_rf path =
 
 let devnull flags = Unix.openfile "/dev/null" flags 0
 
-(* Spawn the CLI, wait, return the process status. *)
-let run_cli ?dir args : Unix.process_status =
+(* Spawn the CLI, wait, return the process status.  [env] bindings
+   ("NAME=value") take precedence over the inherited environment. *)
+let run_cli ?dir ?(env = []) args : Unix.process_status =
   let null_in = devnull [ Unix.O_RDONLY ] and null_out = devnull [ Unix.O_WRONLY ] in
   let saved = Sys.getcwd () in
   (match dir with Some d -> Sys.chdir d | None -> ());
   let pid =
-    Unix.create_process druzhba_exe
+    Unix.create_process_env druzhba_exe
       (Array.of_list ("druzhba" :: args))
+      (Array.append (Array.of_list env) (Unix.environment ()))
       null_in null_out null_out
   in
   (match dir with Some _ -> Sys.chdir saved | None -> ());
@@ -246,6 +248,26 @@ let test_cli_rejects_like_submissions () =
       ("max_probes", -1, [ "--trials=2"; "--max-probes=-1" ]);
       ("fault_runs", 0, [ "--trials=2"; "--faults"; "--fault-runs=0" ]);
       ("faults_per_run", 0, [ "--trials=2"; "--faults"; "--faults-per-run=0" ]);
+    ]
+
+(* The other subcommands refuse bad input the same way: a usage error
+   (exit 2), never an uncaught exception (exit 125) or a run over nothing. *)
+let test_cli_rejects_bad_inputs () =
+  List.iter
+    (fun (env, args) ->
+      let what = String.concat " " (env @ args) in
+      match run_cli ~env args with
+      | Unix.WEXITED code -> Alcotest.(check int) (what ^ ": usage error") 2 code
+      | _ -> Alcotest.failf "%s: killed by a signal" what)
+    [
+      ([], [ "table1"; "--phvs=-5" ]);
+      ([], [ "table1"; "--phvs=0" ]);
+      ([ "DRUZHBA_NATIVE_DISABLE=1" ], [ "table1"; "--backend"; "native"; "--phvs=10" ]);
+      ([], [ "fuzz"; "--program"; "rcp"; "--phvs=-1" ]);
+      ([], [ "fuzz"; "--program"; "rcp"; "--phvs=0" ]);
+      ([], [ "fuzz"; "--program"; "rcp"; "--trials=-2"; "--phvs=10" ]);
+      ([], [ "casestudy"; "--phvs=-1" ]);
+      ([], [ "verify"; "--program"; "sampling"; "--bits=-1" ]);
     ]
 
 (* --- Checkpoint durability ---------------------------------------------------- *)
@@ -690,6 +712,8 @@ let () =
           Alcotest.test_case "verdict classification" `Quick test_exit_code_classify;
           Alcotest.test_case "CLI refuses what submissions refuse" `Quick
             test_cli_rejects_like_submissions;
+          Alcotest.test_case "other subcommands refuse bad input" `Quick
+            test_cli_rejects_bad_inputs;
         ] );
       ( "durability",
         [
