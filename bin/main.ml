@@ -1117,6 +1117,8 @@ let vet_cmd =
 
 let drmt_cmd =
   let run p4_file entries_file packets processors match_cap action_cap seed =
+    require_positive "--packets" packets;
+    require_positive "--processors" processors;
     let p =
       match Drmt.P4.parse_result (read_file p4_file) with
       | Ok p -> p
@@ -1134,7 +1136,9 @@ let drmt_cmd =
     let cfg =
       Drmt.Scheduler.config ~processors ~match_capacity:match_cap ~action_capacity:action_cap ()
     in
-    let sched = Drmt.Scheduler.schedule cfg dag in
+    let sched =
+      try Drmt.Scheduler.schedule cfg dag with Drmt.Scheduler.Infeasible msg -> usage_error "%s" msg
+    in
     Fmt.pr "%a@." Drmt.Scheduler.pp sched;
     let r = Drmt.Sim.run ~seed ~cfg ~entries ~packets p in
     let s = r.Drmt.Sim.r_stats in

@@ -47,7 +47,6 @@ module Substrate = Druzhba_dsim.Substrate
 module Drmt_substrate = Druzhba_dsim.Drmt_substrate
 module P4 = Druzhba_drmt.P4
 module Dag = Druzhba_drmt.Dag
-module Sim = Druzhba_drmt.Sim
 module Entries = Druzhba_drmt.Entries
 module Phv = Druzhba_dsim.Phv
 
@@ -155,7 +154,7 @@ let of_rmt_trial ?budget ~shape ~(desc : Ir.t) ~mc ~inputs () : t =
 (* Collects the coverage of one dRMT trial: the scheduled DAG shape
    (statically, via {!Dag.critical_path}), the installed entries' pattern
    value classes, and — from a replay on the sequential reference substrate
-   with a result observer installed — which tables actually matched an
+   with a table-hit observer installed — which tables actually matched an
    installed entry. *)
 let of_drmt_trial ?budget ~shape ~(p : P4.t) ~(entries : Entries.entry list)
     ~(inputs : Phv.t list) () : t =
@@ -170,11 +169,7 @@ let of_drmt_trial ?budget ~shape ~(p : P4.t) ~(entries : Entries.entry list)
     entries;
   let sub = Drmt_substrate.create ~mode:Drmt_substrate.Sequential ~entries p in
   Drmt_substrate.observe sub
-    (Some
-       (fun (r : Sim.result) ->
-         List.iter
-           (fun (table, hits) -> if hits > 0 then add "tablehit:%s:%s" shape table)
-           r.Sim.r_stats.Sim.st_table_hits));
+    (Some (List.iter (fun (table, _hits) -> add "tablehit:%s:%s" shape table)));
   let packed = Drmt_substrate.pack sub in
   let buf = Trace.Buffer.create ~width:(Substrate.width packed) ~capacity:(List.length inputs) in
   Substrate.run_into ?budget packed ~inputs buf;

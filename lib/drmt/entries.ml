@@ -48,24 +48,33 @@ let specificity = function
   | Plpm (_, plen) -> plen
   | Pternary _ -> 0
 
-(* Looks up [key] in [entries] restricted to [table]: exact/ternary use
-   first-match (priority = file order), lpm uses the longest prefix. *)
-let lookup (entries : t) ~table ~key_width key =
-  let candidates =
-    List.filter
-      (fun e -> e.en_table = table && matches ~key_width e.en_pattern key)
-      entries
-  in
-  match candidates with
-  | [] -> None
-  | first :: _ -> (
-    match first.en_pattern with
-    | Pexact _ | Pternary _ -> Some first
+let rec first_match pats ~key_width key k =
+  if k = Array.length pats || matches ~key_width pats.(k) key then k
+  else first_match pats ~key_width key (k + 1)
+
+(* Looks up [key] among one table's entry patterns [pats], in file order:
+   exact/ternary use first-match (priority = file order); when the first
+   match is lpm, the most specific match wins (the earliest on ties).
+   Returns the selected entry's index, or [Array.length pats] on a miss. *)
+let select (pats : pattern array) ~key_width key =
+  let hit = first_match pats ~key_width key 0 in
+  if hit = Array.length pats then hit
+  else
+    match pats.(hit) with
+    | Pexact _ | Pternary _ -> hit
     | Plpm _ ->
-      Some
-        (List.fold_left
-           (fun best e -> if specificity e.en_pattern > specificity best.en_pattern then e else best)
-           first candidates))
+      let best = ref hit in
+      for k = hit + 1 to Array.length pats - 1 do
+        if matches ~key_width pats.(k) key && specificity pats.(k) > specificity pats.(!best)
+        then best := k
+      done;
+      !best
+
+(* [select] over the entries of [table] in [entries]. *)
+let lookup (entries : t) ~table ~key_width key =
+  let own = Array.of_list (List.filter (fun e -> e.en_table = table) entries) in
+  let k = select (Array.map (fun e -> e.en_pattern) own) ~key_width key in
+  if k = Array.length own then None else Some own.(k)
 
 (* --- Text format ----------------------------------------------------------------- *)
 

@@ -421,7 +421,7 @@ let test_sim_ttl_decrement () =
   Alcotest.(check bool) "agree" true (Sim.packets_agree r s);
   List.iter
     (fun (pk : Sim.packet) ->
-      match Hashtbl.find_opt pk.Sim.fields (P4.Meta "out_port") with
+      match List.assoc_opt (P4.Meta "out_port") pk.Sim.fields with
       | Some port -> Alcotest.(check int) "routed out port 1" 1 port
       | None -> Alcotest.fail "missing out_port")
     r.Sim.r_packets

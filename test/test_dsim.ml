@@ -504,6 +504,22 @@ let test_drmt_substrate_event_vs_sequential () =
   | Some vec -> Alcotest.(check int) "preload counted" (100 + 30) vec.(0)
   | None -> Alcotest.fail "hits register missing"
 
+(* A register preloaded twice keeps its first binding, as every RMT
+   substrate's state reads it: [current_state] reports it after [load_state]
+   and again after a run that never writes it. *)
+let test_drmt_duplicate_preload () =
+  List.iter
+    (fun mode ->
+      let packed =
+        Drmt_substrate.of_p4 ~mode ~entries:(Drmt_router.entries ()) (Drmt_router.program ())
+      in
+      let routed () = List.assoc_opt "routed" (Substrate.current_state packed) in
+      Substrate.load_state packed [ ("routed", [| 1 |]); ("routed", [| 2 |]) ];
+      Alcotest.(check (option (array int))) "after load_state" (Some [| 1 |]) (routed ());
+      ignore (run_into_trace packed ~inputs:[]);
+      Alcotest.(check (option (array int))) "after an empty run" (Some [| 1 |]) (routed ()))
+    [ Drmt_substrate.Event; Drmt_substrate.Sequential ]
+
 (* The debugger drives any substrate: a compiled-backend session steps in
    lock-step with the interpreter session on the same inputs. *)
 let test_debugger_on_compiled_substrate () =
@@ -617,6 +633,8 @@ let () =
           Alcotest.test_case "dRMT substrate replays Sim" `Quick test_drmt_substrate_replays_sim;
           Alcotest.test_case "dRMT event = sequential through the contract" `Quick
             test_drmt_substrate_event_vs_sequential;
+          Alcotest.test_case "dRMT duplicate preload keeps the first binding" `Quick
+            test_drmt_duplicate_preload;
           Alcotest.test_case "debugger drives the compiled substrate" `Quick
             test_debugger_on_compiled_substrate;
           Alcotest.test_case "debugger drives the dRMT substrate" `Quick

@@ -13,8 +13,10 @@
       trace equal to the reference — the committed fixture therefore pins
       every configuration.
 
-   Two whole campaign reports (fault mode, tick budget; substrates "all"
-   and "native") are pinned the same way, byte for byte.
+   Three whole campaign reports (fault mode, tick budget; substrates
+   "all", "drmt" and "native") are pinned the same way, byte for byte, and
+   the dRMT simulator's cycle counts, crossbar peaks, table hits and
+   registers on the router program are pinned at three processor counts.
 
    Regenerating after an *intended* semantic change:
 
@@ -35,8 +37,8 @@ module Codegen = Druzhba_compiler.Codegen
 module Oracle = Druzhba_campaign.Oracle
 module Substrate = Druzhba_dsim.Substrate
 module Drmt_substrate = Druzhba_dsim.Drmt_substrate
-module P4 = Druzhba_drmt.P4
-module Entries = Druzhba_drmt.Entries
+module Scheduler = Druzhba_drmt.Scheduler
+module Sim = Druzhba_drmt.Sim
 module Campaign = Druzhba_campaign.Campaign
 module Report = Druzhba_campaign.Report
 module Native_substrate = Druzhba_dsim.Native_substrate
@@ -68,87 +70,10 @@ let fixture_path bm = Filename.concat "golden" (bm.Spec.bm_name ^ ".trace")
    semantics; the event run must additionally equal the reference, so a
    regression in either the scheduler or the P4 interpreter fails loudly. *)
 
-let drmt_name = "drmt_router"
-
-let drmt_p4 =
-  {|
-header eth {
-  dst : 48;
-  etype : 16;
-}
-header ip {
-  ttl : 8;
-  src : 32;
-  dst : 32;
-}
-
-action bridge(port) {
-  meta.egress = port;
-  reg.bridged = reg.bridged + 1;
-}
-action route(port) {
-  meta.egress = port;
-  ip.ttl = ip.ttl - 1;
-  reg.routed = reg.routed + 1;
-}
-action toss() {
-  drop;
-  reg.tossed = reg.tossed + 1;
-}
-action audit() {
-  reg.audited = reg.audited + 1;
-}
-
-table bridge_tbl {
-  key : eth.dst;
-  match : exact;
-  actions : { bridge };
-  default : bridge 1;
-}
-table route_tbl {
-  key : ip.dst;
-  match : lpm;
-  actions : { route, toss };
-  default : toss;
-}
-table audit_tbl {
-  key : ip.src;
-  match : ternary;
-  actions : { audit, toss };
-  default : audit;
-}
-
-control {
-  apply bridge_tbl;
-  apply route_tbl;
-  apply audit_tbl;
-}
-|}
-
-let drmt_entries_src =
-  {|
-# two learned MACs
-entry bridge_tbl exact 51966 bridge 4
-entry bridge_tbl exact 47806 bridge 6
-
-# a /16 nested in a /8 over a catch-all: longest prefix must win, and the
-# /0 keeps the field-mutating route action live on random traffic
-entry route_tbl lpm 3232235520/8  route 2
-entry route_tbl lpm 3232301056/16 route 8
-entry route_tbl lpm 0/0 route 3
-
-# sources with low byte 7 are tossed by the audit stage
-entry audit_tbl ternary 7&255 toss
-|}
+let drmt_name = Drmt_router.name
 
 let drmt_substrate mode =
-  let p = P4.parse drmt_p4 in
-  let entries =
-    match Entries.parse drmt_entries_src with
-    | Ok e -> e
-    | Error msg -> failwith ("drmt golden entries: " ^ msg)
-  in
-  Drmt_substrate.create ~mode ~entries p
+  Drmt_substrate.create ~mode ~entries:(Drmt_router.entries ()) (Drmt_router.program ())
 
 let run_substrate packed ~inputs =
   let buf =
@@ -172,6 +97,38 @@ let drmt_render (trace : Trace.t) =
 
 let drmt_fixture_path = Filename.concat "golden" (drmt_name ^ ".trace")
 
+(* The trace fixture pins packet fields; this one pins the timed side of
+   the event-driven run — cycle count, crossbar peaks chip-wide and per
+   processor — with table hits and registers, for [Sim.run] at 1, 2 and 4
+   processors and for [Sim.run_sequential]. *)
+let drmt_stats_packets = 200
+let drmt_stats_path = Filename.concat "golden" (drmt_name ^ ".stats")
+
+let drmt_render_stats () =
+  let p = Drmt_router.program () and entries = Drmt_router.entries () in
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "# golden stats: %s (dRMT, default seed, %d packets)\n" drmt_name
+    drmt_stats_packets;
+  let section title (r : Sim.result) =
+    let s = r.Sim.r_stats in
+    Printf.bprintf b "%s: %d packets in %d cycles (%d matches, %d actions)\n" title
+      s.Sim.st_packets s.Sim.st_cycles s.Sim.st_matches s.Sim.st_actions;
+    Printf.bprintf b "  peak per cycle: %d matches, %d actions\n" s.Sim.st_peak_match_per_cycle
+      s.Sim.st_peak_action_per_cycle;
+    Printf.bprintf b "  peak per processor: %d matches, %d actions\n"
+      s.Sim.st_peak_match_per_processor s.Sim.st_peak_action_per_processor;
+    List.iter (fun (t, n) -> Printf.bprintf b "  table %s: %d hits\n" t n) s.Sim.st_table_hits;
+    List.iter (fun (r, v) -> Printf.bprintf b "  register %s = %d\n" r v) r.Sim.r_registers
+  in
+  List.iter
+    (fun processors ->
+      section
+        (Printf.sprintf "event, %d processor(s)" processors)
+        (Sim.run ~cfg:(Scheduler.config ~processors ()) ~entries ~packets:drmt_stats_packets p))
+    [ 1; 2; 4 ];
+  section "sequential" (Sim.run_sequential ~entries ~packets:drmt_stats_packets p);
+  Buffer.contents b
+
 let read_file path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -182,11 +139,13 @@ let read_file path =
 (* --- Campaign report fixtures --------------------------------------------------
 
    Whole campaign reports in fault mode under a tick budget: substrate "all"
-   (RMT and dRMT trials alternate) and substrate "native".  They pin what
-   the execution paths underneath a campaign decide: each trial's class,
-   the fault-run counts, and which trials run out of fuel.  The fuel sits
-   between what a depth-1 and a depth-2 RMT trial needs (six configurations
-   in "all", three in "native"), so each fixture holds agreeing trials with
+   (RMT and dRMT trials alternate), substrate "drmt" and substrate
+   "native".  They pin what the execution paths underneath a campaign
+   decide: each trial's class, the fault-run counts, and which trials run
+   out of fuel.  In "all" and "native" the fuel sits between what a depth-1
+   and a depth-2 RMT trial needs (six configurations in "all", three in
+   "native"); in "drmt" it sits inside the range the generated 1- to
+   4-table chains need, so each fixture holds agreeing trials with
    fault-sensitive runs and timed-out trials. *)
 
 type campaign_fixture = { cf_file : string; cf_substrate : string; cf_fuel : int }
@@ -194,6 +153,7 @@ type campaign_fixture = { cf_file : string; cf_substrate : string; cf_fuel : int
 let campaign_fixtures =
   [
     { cf_file = "campaign_report.json"; cf_substrate = "all"; cf_fuel = 130 };
+    { cf_file = "drmt_campaign_report.json"; cf_substrate = "drmt"; cf_fuel = 200 };
     { cf_file = "native_campaign_report.json"; cf_substrate = "native"; cf_fuel = 64 };
   ]
 
@@ -254,6 +214,9 @@ let update_fixtures dir =
   output_string oc (drmt_render trace);
   close_out oc;
   Printf.printf "wrote %s\n" path;
+  let path = Filename.concat dir (drmt_name ^ ".stats") in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (drmt_render_stats ()));
+  Printf.printf "wrote %s\n" path;
   List.iter
     (fun f ->
       let path = Filename.concat dir f.cf_file in
@@ -306,6 +269,10 @@ let test_drmt_fixture_matches () =
   let expected = read_file drmt_fixture_path in
   Alcotest.(check string) (drmt_name ^ " matches its golden trace") expected (drmt_render trace)
 
+let test_drmt_stats_match () =
+  Alcotest.(check string) (drmt_name ^ " matches its golden stats") (read_file drmt_stats_path)
+    (drmt_render_stats ())
+
 let test_drmt_event_matches_reference () =
   let reference, inputs = drmt_reference_trace () in
   let event = run_substrate (Drmt_substrate.pack (drmt_substrate Drmt_substrate.Event)) ~inputs in
@@ -333,7 +300,10 @@ let () =
             (fun (bm : Spec.benchmark) ->
               Alcotest.test_case bm.Spec.bm_name `Quick (test_fixture_matches bm))
             Spec.all
-          @ [ Alcotest.test_case drmt_name `Quick test_drmt_fixture_matches ] );
+          @ [
+              Alcotest.test_case drmt_name `Quick test_drmt_fixture_matches;
+              Alcotest.test_case (drmt_name ^ " stats") `Quick test_drmt_stats_match;
+            ] );
         ( "all configurations",
           List.map
             (fun (bm : Spec.benchmark) ->

@@ -11,6 +11,10 @@
    in the engine, compiled ALUs, or muxes — cost tens to thousands of bytes
    per PHV, far above the bound.
 
+   The dRMT substrates hold the same bound per packet: each prepares its
+   program once and re-arms preallocated packet rows, table selections and
+   register file on every run.
+
    A second test pins the buffered fast path to the frozen-trace path: for
    every program and level, [run_into] + [Buffer.contents] must reproduce
    [run_compiled] and [Engine.run] exactly. *)
@@ -25,6 +29,10 @@ module Trace = Druzhba_dsim.Trace
 module Phv = Druzhba_dsim.Phv
 module Spec = Druzhba_spec.Spec
 module Codegen = Druzhba_compiler.Codegen
+module Substrate = Druzhba_dsim.Substrate
+module Drmt_substrate = Druzhba_dsim.Drmt_substrate
+module Campaign = Druzhba_campaign.Campaign
+module Prng = Druzhba_util.Prng
 
 (* Generous vs the expected ~0 bytes/PHV, tiny vs the pre-rewrite engine's
    hundreds-to-thousands of bytes/PHV. *)
@@ -76,6 +84,32 @@ let test_batched_steady_state_allocation (bm : Spec.benchmark) () =
   if per_phv >= bytes_per_phv_bound then
     Alcotest.failf "%s: %.2f bytes allocated per steady-state batched PHV (bound %.0f)"
       bm.Spec.bm_name per_phv bytes_per_phv_bound
+
+(* The router fixture and a 4-table chain as a dRMT campaign trial draws
+   it, with entries installed. *)
+let drmt_programs =
+  [
+    ("drmt_router", fun () -> (Drmt_router.program (), Drmt_router.entries ()));
+    ( "campaign chain, 4 tables",
+      fun () ->
+        ( Campaign.drmt_program ~tables:4,
+          Campaign.drmt_entries (Prng.create 0xA110C) ~tables:4 ~count:8 ) );
+  ]
+
+let test_drmt_steady_state_allocation make mode () =
+  let p, entries = make () in
+  let sub = Drmt_substrate.create ~mode ~entries p in
+  let inputs = Drmt_substrate.traffic ~seed:0xA110C sub alloc_phvs in
+  let packed = Drmt_substrate.pack sub in
+  let buf = Trace.Buffer.create ~width:(Substrate.width packed) ~capacity:alloc_phvs in
+  Substrate.run_into packed ~inputs buf;
+  let a0 = Gc.allocated_bytes () in
+  Substrate.run_into packed ~inputs buf;
+  let a1 = Gc.allocated_bytes () in
+  let per_packet = (a1 -. a0) /. float_of_int alloc_phvs in
+  if per_packet >= bytes_per_phv_bound then
+    Alcotest.failf "%s: %.2f bytes allocated per steady-state packet (bound %.0f)"
+      (Substrate.name packed) per_packet bytes_per_phv_bound
 
 (* Batched = sequential on every Table-1 program, level and substrate, at
    two batch sizes the {!Substrate.run_batch_into} alias must ignore.  The
@@ -162,6 +196,15 @@ let () =
           (fun (bm : Spec.benchmark) ->
             Alcotest.test_case bm.Spec.bm_name `Quick (test_batched_steady_state_allocation bm))
           Spec.all );
+      ( "steady-state allocation (dRMT)",
+        List.concat_map
+          (fun (name, make) ->
+            List.map
+              (fun (mode, mode_name) ->
+                Alcotest.test_case (name ^ ", " ^ mode_name) `Quick
+                  (test_drmt_steady_state_allocation make mode))
+              [ (Drmt_substrate.Event, "event"); (Drmt_substrate.Sequential, "sequential") ])
+          drmt_programs );
       ( "batched = sequential (all levels, both substrates)",
         List.map
           (fun (bm : Spec.benchmark) ->

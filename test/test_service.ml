@@ -253,22 +253,33 @@ let test_cli_rejects_like_submissions () =
 (* The other subcommands refuse bad input the same way: a usage error
    (exit 2), never an uncaught exception (exit 125) or a run over nothing. *)
 let test_cli_rejects_bad_inputs () =
-  List.iter
-    (fun (env, args) ->
-      let what = String.concat " " (env @ args) in
-      match run_cli ~env args with
-      | Unix.WEXITED code -> Alcotest.(check int) (what ^ ": usage error") 2 code
-      | _ -> Alcotest.failf "%s: killed by a signal" what)
-    [
-      ([], [ "table1"; "--phvs=-5" ]);
-      ([], [ "table1"; "--phvs=0" ]);
-      ([ "DRUZHBA_NATIVE_DISABLE=1" ], [ "table1"; "--backend"; "native"; "--phvs=10" ]);
-      ([], [ "fuzz"; "--program"; "rcp"; "--phvs=-1" ]);
-      ([], [ "fuzz"; "--program"; "rcp"; "--phvs=0" ]);
-      ([], [ "fuzz"; "--program"; "rcp"; "--trials=-2"; "--phvs=10" ]);
-      ([], [ "casestudy"; "--phvs=-1" ]);
-      ([], [ "verify"; "--program"; "sampling"; "--bits=-1" ]);
-    ]
+  let p4 = Filename.temp_file "druzhba-router" ".p4" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove p4 with Sys_error _ -> ())
+    (fun () ->
+      Out_channel.with_open_bin p4 (fun oc -> Out_channel.output_string oc Drmt_router.source);
+      List.iter
+        (fun (env, args) ->
+          let what = String.concat " " (env @ args) in
+          match run_cli ~env args with
+          | Unix.WEXITED code -> Alcotest.(check int) (what ^ ": usage error") 2 code
+          | _ -> Alcotest.failf "%s: killed by a signal" what)
+        [
+          ([], [ "table1"; "--phvs=-5" ]);
+          ([], [ "table1"; "--phvs=0" ]);
+          ([ "DRUZHBA_NATIVE_DISABLE=1" ], [ "table1"; "--backend"; "native"; "--phvs=10" ]);
+          ([], [ "fuzz"; "--program"; "rcp"; "--phvs=-1" ]);
+          ([], [ "fuzz"; "--program"; "rcp"; "--phvs=0" ]);
+          ([], [ "fuzz"; "--program"; "rcp"; "--trials=-2"; "--phvs=10" ]);
+          ([], [ "casestudy"; "--phvs=-1" ]);
+          ([], [ "verify"; "--program"; "sampling"; "--bits=-1" ]);
+          ([], [ "drmt"; "--p4"; p4; "--packets=-5" ]);
+          ([], [ "drmt"; "--p4"; p4; "--packets=0" ]);
+          ([], [ "drmt"; "--p4"; p4; "--processors=0" ]);
+          ([], [ "drmt"; "--p4"; p4; "--processors=-2" ]);
+          ([], [ "drmt"; "--p4"; p4; "--match-capacity=0" ]);
+          ([], [ "drmt"; "--p4"; p4; "--action-capacity=-1" ]);
+        ])
 
 (* --- Checkpoint durability ---------------------------------------------------- *)
 
