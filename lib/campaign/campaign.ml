@@ -63,6 +63,7 @@ module Budget = Druzhba_dsim.Budget
 module Faults = Druzhba_dsim.Faults
 module Substrate = Druzhba_dsim.Substrate
 module Drmt_substrate = Druzhba_dsim.Drmt_substrate
+module Native_substrate = Druzhba_dsim.Native_substrate
 module P4 = Druzhba_drmt.P4
 module Scheduler = Druzhba_drmt.Scheduler
 module Entries = Druzhba_drmt.Entries
@@ -299,6 +300,12 @@ let trial_params family seed =
   let prng = Prng.create seed in
   (prng, draw_params family prng)
 
+(* The description an RMT or native trial's parameters name. *)
+let describe ~depth ~width ~bits ~stateful ~stateless =
+  Dgen.generate
+    (Dgen.config ~depth ~width ~bits ())
+    ~stateful:(Atoms.find_exn stateful) ~stateless:(Atoms.find_exn stateless)
+
 (* --- dRMT trial material -----------------------------------------------------
 
    A generated dRMT program is a dependency chain: table i keys exactly on
@@ -450,11 +457,7 @@ let run_faults ?budget ~(fc : fault_config)
    reference engine and returns the structural coverage reached. *)
 let run_rmt_trial ~(cfg : config) ~seed ~prng ?mc_override ~depth ~width ~bits ~stateful_name
     ~stateless_name () =
-  let desc =
-    Dgen.generate
-      (Dgen.config ~depth ~width ~bits ())
-      ~stateful:(Atoms.find_exn stateful_name) ~stateless:(Atoms.find_exn stateless_name)
-  in
+  let desc = describe ~depth ~width ~bits ~stateful:stateful_name ~stateless:stateless_name in
   let mc = match mc_override with Some mc -> mc | None -> Fuzz.random_mc prng desc in
   let traffic_seed = Prng.bits prng 30 in
   let inputs = Traffic.phvs (Traffic.create ~seed:traffic_seed ~width ~bits) cfg.c_phvs in
@@ -512,6 +515,12 @@ let run_rmt_trial ~(cfg : config) ~seed ~prng ?mc_override ~depth ~width ~bits ~
   in
   (Finished outcome, shrunk, faults, extra)
 
+(* A native trial's program: its description and the machine code drawn
+   for it.  Shared with the block loop's native build plan. *)
+let draw_native_program ~prng ~depth ~width ~bits ~stateful_name ~stateless_name =
+  let desc = describe ~depth ~width ~bits ~stateful:stateful_name ~stateless:stateless_name in
+  (desc, Fuzz.random_mc prng desc)
+
 (* The native trial body: the same random pipeline + machine code draw as
    RMT, but the oracle is the three-configuration native-codegen check —
    interpreter reference, closures at scc+inline, and the Dynlinked module
@@ -524,17 +533,21 @@ let run_rmt_trial ~(cfg : config) ~seed ~prng ?mc_override ~depth ~width ~bits ~
    toolchain is available (a compiler error on one program) degrades the
    same way and sets [fallback], which the campaign notes count.
 
+   The trial's program is usually built before the trial starts: the
+   block loop plans the block's native programs with {!trial_start} and
+   {!draw_native_program}, the same helpers the trial uses, and
+   {!Native_substrate.build_all} compiles them in a few group modules.
+   The trial's own build is then a memo lookup; a program the block build
+   could not build is built here, alone.
+
    Fault mode pairs the native artifact against the interpreter — the two
    most unlike substrates in the repo — under the shared stuck/flip/drop
    overlay protocol. *)
 let run_native_trial ~(cfg : config) ~seed ~prng ~fallback ~depth ~width ~bits ~stateful_name
     ~stateless_name () =
-  let desc =
-    Dgen.generate
-      (Dgen.config ~depth ~width ~bits ())
-      ~stateful:(Atoms.find_exn stateful_name) ~stateless:(Atoms.find_exn stateless_name)
+  let desc, mc =
+    draw_native_program ~prng ~depth ~width ~bits ~stateful_name ~stateless_name
   in
-  let mc = Fuzz.random_mc prng desc in
   let traffic_seed = Prng.bits prng 30 in
   let inputs = Traffic.phvs (Traffic.create ~seed:traffic_seed ~width ~bits) cfg.c_phvs in
   let budget = Option.map Budget.ticks cfg.c_fuel in
@@ -563,9 +576,7 @@ let run_native_trial ~(cfg : config) ~seed ~prng ~fallback ~depth ~width ~bits ~
     | Some fc, Oracle.Agree _ ->
       let optimized = Optimizer.apply ~level:Oracle.native_level ~mc desc in
       let candidate =
-        match
-          Druzhba_dsim.Native_substrate.create ~label:"native@scc-inline" optimized ~mc
-        with
+        match Native_substrate.create ~label:"native@scc-inline" optimized ~mc with
         | Ok native -> native
         | Error _ ->
           fallback := true;
@@ -688,11 +699,7 @@ let pick_mutation prng family (snapshot : Corpus.entry array) =
     | Corpus.Rmt_material { depth; width; bits; stateful; stateless; mc } -> (
       (* domains come from the regenerated description — a pure function of
          the stored parameters *)
-      let desc =
-        Dgen.generate
-          (Dgen.config ~depth ~width ~bits ())
-          ~stateful:(Atoms.find_exn stateful) ~stateless:(Atoms.find_exn stateless)
-      in
+      let desc = describe ~depth ~width ~bits ~stateful ~stateless in
       match Corpus.mutate_rmt prng ~domains:(Ir.control_domains desc) ~bits mc with
       | None -> None
       | Some (op, mc') ->
@@ -710,26 +717,30 @@ let pick_mutation prng family (snapshot : Corpus.entry array) =
             `Drmt_entries entries' ))
   end
 
+(* What a trial derives from its index before its body runs: the seed,
+   the PRNG the body continues, the origin, the parameters and any corpus
+   override.  Shared with the block loop's native build plan. *)
+let trial_start ~snapshot ~(cfg : config) index =
+  let seed = Prng.derive cfg.c_master_seed index in
+  let family = family_of ~cfg index in
+  if not cfg.c_coverage then
+    let prng, params = trial_params family seed in
+    (seed, prng, None, params, `None)
+  else begin
+    (* coverage mode: the mutate-or-fresh decision draws come first on the
+       same trial PRNG, so the whole trial — including a fresh fallback —
+       is a pure function of (master seed, index, block-start snapshot) *)
+    let prng = Prng.create seed in
+    match pick_mutation prng family snapshot with
+    | Some (origin, params, override) -> (seed, prng, Some origin, params, override)
+    | None -> (seed, prng, Some Corpus.Fresh, draw_params family prng, `None)
+  end
+
 let run_trial ?(snapshot = [||]) ~(cfg : config) index : trial * trial_extra option =
   (* backtrace recording is per-domain in OCaml 5, so arm it here (on
      whichever worker runs the trial) rather than once in [run] *)
   Printexc.record_backtrace true;
-  let seed = Prng.derive cfg.c_master_seed index in
-  let family = family_of ~cfg index in
-  let prng, t_origin, params, override =
-    if not cfg.c_coverage then
-      let prng, params = trial_params family seed in
-      (prng, None, params, `None)
-    else begin
-      (* coverage mode: the mutate-or-fresh decision draws come first on the
-         same trial PRNG, so the whole trial — including a fresh fallback —
-         is a pure function of (master seed, index, block-start snapshot) *)
-      let prng = Prng.create seed in
-      match pick_mutation prng family snapshot with
-      | Some (origin, params, override) -> (prng, Some origin, params, override)
-      | None -> (prng, Some Corpus.Fresh, draw_params family prng, `None)
-    end
-  in
+  let seed, prng, t_origin, params, override = trial_start ~snapshot ~cfg index in
   let fallback = ref false in
   let finish (t_outcome, t_shrunk, t_faults, extra) =
     ( { t_index = index; t_seed = seed; t_params = params; t_origin; t_outcome; t_shrunk;
@@ -1111,6 +1122,28 @@ let coverage_summary (cv : coverage_stats) : Coverage.summary =
 
 (* --- The campaign ----------------------------------------------------------- *)
 
+(* The native programs trials [lo, hi) will build, as they will build them:
+   drawn with the trials' own helpers and optimized at the oracle's level.
+   Machine code that fails validation is skipped, since the oracle never
+   builds it, and so is a program whose planning raises anywhere (the
+   draw, validation or the optimizer): its trial reports the crash. *)
+let native_plan ~snapshot ~(cfg : config) lo hi =
+  List.filter_map
+    (fun index ->
+      try
+        match trial_start ~snapshot ~cfg index with
+        | _, prng, _, Native_params { depth; width; bits; stateful; stateless }, _ -> (
+          let desc, mc =
+            draw_native_program ~prng ~depth ~width ~bits ~stateful_name:stateful
+              ~stateless_name:stateless
+          in
+          match Machine_code.validate ~domains:(Ir.control_domains desc) mc with
+          | Error _ -> None
+          | Ok () -> Some (Optimizer.apply ~level:Oracle.native_level ~mc desc, mc))
+        | _ -> None
+      with _ -> None)
+    (List.init (hi - lo) (fun k -> lo + k))
+
 (* [run_resumable] is the full-featured entry point: trials execute in
    blocks of [checkpoint_every] indices (parallel within a block), which
    fixes the granularity of checkpoints, the circuit breaker, and the
@@ -1142,27 +1175,28 @@ let run_resumable ?checkpoint ?(resume = false) ?stop_after ?should_stop (cfg : 
      machine must never blend with degraded ones, so the combination is
      refused with a clear error instead. *)
   let selection = Option.value (families_of_name cfg.c_substrate) ~default:[] in
+  let native_probe =
+    if List.mem Native selection then Some (Native_substrate.available ()) else None
+  in
   let notes =
-    if not (List.mem Native selection) then []
-    else
-      match Druzhba_dsim.Native_substrate.available () with
-      | Ok () -> []
-      | Error reason ->
-        if checkpoint <> None || resume then
-          raise
-            (Resume_error
-               (Printf.sprintf
-                  "substrate %S cannot be checkpointed or resumed here: the native toolchain \
-                   is unavailable (%s); run without --checkpoint/--resume to accept the \
-                   interpreted fallback"
-                  cfg.c_substrate reason))
-        else
-          [
-            Printf.sprintf
-              "native substrate unavailable (%s); native trials ran on the interpreted \
-               fallback (native-fallback@scc-inline)"
-              reason;
-          ]
+    match native_probe with
+    | None | Some (Ok ()) -> []
+    | Some (Error reason) ->
+      if checkpoint <> None || resume then
+        raise
+          (Resume_error
+             (Printf.sprintf
+                "substrate %S cannot be checkpointed or resumed here: the native toolchain is \
+                 unavailable (%s); run without --checkpoint/--resume to accept the interpreted \
+                 fallback"
+                cfg.c_substrate reason))
+      else
+        [
+          Printf.sprintf
+            "native substrate unavailable (%s); native trials ran on the interpreted fallback \
+             (native-fallback@scc-inline)"
+            reason;
+        ]
   in
   (* crash records carry backtraces; recording is per-process and cheap *)
   Printexc.record_backtrace true;
@@ -1233,6 +1267,9 @@ let run_resumable ?checkpoint ?(resume = false) ?stop_after ?should_stop (cfg : 
     let base = !i in
     let hi = min n (base + cfg.c_checkpoint_every) in
     let snap = !snapshot in
+    (* build the block's native programs together, before its trials ask *)
+    if native_probe = Some (Ok ()) then
+      Native_substrate.build_all ~jobs:cfg.c_jobs (native_plan ~snapshot:snap ~cfg base hi);
     let chunk =
       Runner.parallel_init ~jobs:cfg.c_jobs (hi - base) (fun k ->
           run_trial ~snapshot:snap ~cfg (base + k))

@@ -7,13 +7,6 @@
    result array is identical however trials land on domains — only the
    wall-clock changes.
 
-   Work distribution is dynamic (an atomic next-index counter) rather than
-   static chunking: trials vary wildly in cost (a divergence triggers
-   shrinking, which re-simulates many times), and a static split would leave
-   domains idle behind one expensive shard.  Each result slot is written by
-   exactly one domain, and [Domain.join] publishes the writes, so no lock is
-   needed around the results array.
-
    Caveat for callers: the trial function runs concurrently on several
    domains, so any shared lazy values it forces (e.g. the parsed atom
    library) must be forced *before* calling — OCaml's [Lazy] is not
@@ -24,54 +17,12 @@ let force_atoms () =
     (fun name -> ignore (Druzhba_atoms.Atoms.find_exn name))
     Druzhba_atoms.Atoms.all_names
 
-(* [parallel_init ~jobs n f] is [Array.init n f] computed on up to [jobs]
-   domains (including the calling one).  [f] is applied to each index
-   exactly once; the result array is in index order.
-
-   Exception containment: a worker that lets an exception out of [f] must
-   not silently shrink the pool (the remaining domains would crawl through
-   the rest of the trials and the join would then fail on the missing
-   slots).  Every slot therefore captures [Ok v | Error exn]; workers never
-   die, and after the join the *lowest-indexed* captured exception is
-   re-raised on the calling domain — the same one a [jobs:1] run would have
-   raised, so failure behaviour is deterministic across job counts.
-   (Campaign trials catch their own exceptions long before this; this is
-   the runner's own last line of defence.) *)
-let parallel_init ~jobs n f =
-  if n < 0 then invalid_arg "Runner.parallel_init: negative count";
-  let jobs = max 1 (min jobs n) in
-  if jobs = 1 then Array.init n f
-  else begin
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          results.(i) <- Some (match f i with v -> Ok v | exception e -> Error e);
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let domains = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join domains;
-    (* explicit ascending scan: the lowest index decides, not map order *)
-    for i = 0 to n - 1 do
-      match results.(i) with Some (Error e) -> raise e | Some (Ok _) | None -> ()
-    done;
-    Array.map
-      (function
-        | Some (Ok v) -> v
-        | Some (Error _) | None -> invalid_arg "Runner.parallel_init: missing result")
-      results
-  end
-
-(* List-shaped convenience used by the case-study harness: map [f] over the
-   elements of [items] in parallel, preserving order. *)
-let parallel_map ~jobs f items =
-  let arr = Array.of_list items in
-  Array.to_list (parallel_init ~jobs (Array.length arr) (fun i -> f arr.(i)))
+(* [parallel_init ~jobs n f] is [Array.init n f] on up to [jobs] domains,
+   and [parallel_map] its list-shaped form: {!Druzhba_util.Parallel}'s
+   pool, whose lowest-index exception rule keeps failures the same across
+   job counts.  (Campaign trials catch their own exceptions long before
+   that; it is the runner's own last line of defence.) *)
+let parallel_init = Druzhba_util.Parallel.init
+let parallel_map = Druzhba_util.Parallel.map
 
 let default_jobs () = Domain.recommended_domain_count ()

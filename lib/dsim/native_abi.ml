@@ -4,17 +4,20 @@
    A module emitted by {!Druzhba_pipeline.Emit.native_source} is compiled
    out-of-process into a `.cmxs` and loaded with [Dynlink.loadfile_private];
    its only side effect is one call to {!register} with the plugin record
-   below.  The host ({!Native_substrate}) performs the load under a global
-   mutex and immediately {!take}s the slot, so concurrent domains never
-   observe each other's registrations.
+   below.  A group module wraps several emitted modules as submodules, so
+   loading it registers one plugin per program, in source order.  The host
+   ({!Native_substrate}) performs the load under a global mutex and
+   immediately {!take_all}s the registrations, so concurrent domains never
+   observe each other's.
 
    The record is deliberately first-order — int arrays and plain functions
    — so the only thing the plugin and the host must agree on is this one
-   module's cmi.  Bump {!version} whenever the record layout changes: it is
-   folded into the build-cache content address, so stale `.cmxs` artifacts
-   from an older ABI are never loaded. *)
+   module's cmi.  Bump {!version} whenever that cmi changes (the record
+   layout or the registration functions): it is folded into the build-cache
+   content address, so stale `.cmxs` artifacts from an older ABI are never
+   loaded. *)
 
-let version = 2
+let version = 3
 
 type plugin = {
   np_depth : int;
@@ -32,10 +35,11 @@ type plugin = {
          (depth+1) x width register file [cur], writing row s+1 of [nxt] *)
 }
 
-let slot : plugin option ref = ref None
-let register p = slot := Some p
+(* newest first; {!take_all} restores registration order *)
+let registered : plugin list ref = ref []
+let register p = registered := p :: !registered
 
-let take () =
-  let p = !slot in
-  slot := None;
-  p
+let take_all () =
+  let ps = List.rev !registered in
+  registered := [];
+  ps

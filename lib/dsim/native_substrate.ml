@@ -38,6 +38,7 @@ module Ir = Druzhba_pipeline.Ir
 module Emit = Druzhba_pipeline.Emit
 module Machine_code = Druzhba_machine_code.Machine_code
 module Atomic_file = Druzhba_util.Atomic_file
+module Parallel = Druzhba_util.Parallel
 
 (* --- Toolchain discovery ---------------------------------------------------- *)
 
@@ -138,14 +139,17 @@ let content_key source =
 
 let module_name key = "druzhba_native_" ^ key
 
-(* Where the build cache holds (or would hold) the artifact for this
-   (description, machine code) under the current environment.  Exposed so
-   tests and operators can inspect, pre-seed, or evict cache entries; note
-   that within one process a path that has already been Dynlinked is served
-   from the loader's handle cache, so editing it has no effect until a
-   fresh process reads it. *)
-let artifact_path (desc : Ir.t) ~mc =
-  Filename.concat (cache_dir ()) (module_name (content_key (Emit.native_source desc ~mc)) ^ ".cmxs")
+let artifact_file key = Filename.concat (cache_dir ()) (module_name key ^ ".cmxs")
+
+(* Where the build cache holds (or would hold) the per-program artifact for
+   this (description, machine code) under the current environment.  A
+   program {!build_all} compiled inside a group module has no artifact of
+   its own.  Exposed so tests and operators can inspect, pre-seed, or evict
+   cache entries.  Within one process a path that has already been
+   Dynlinked is served from the loader's handle cache: replacing the file
+   has no effect until a fresh process reads it, and overwriting it in
+   place can crash this one, since the loaded code is mapped from it. *)
+let artifact_path (desc : Ir.t) ~mc = artifact_file (content_key (Emit.native_source desc ~mc))
 
 let remove_tree dir =
   match Sys.readdir dir with
@@ -185,29 +189,38 @@ let run_command argv ~stderr_file : (unit, string) result =
     Error (Printf.sprintf "signal %d: %s" n (read_file_tail stderr_file))
 
 (* Build-cache instrumentation, read by tests and the bench report.  The
-   counters are atomic because builds run outside the lock. *)
+   counters are atomic because builds run outside the lock.  Every
+   {!create} request counts a memo hit, or a compile or disk hit for each
+   artifact its build used, also when {!build_all} built its plugin ahead
+   of it (see [marks]). *)
 type stats = { st_compiles : int; st_cache_hits : int; st_memo_hits : int }
 
 let n_compiles = Atomic.make 0
 let n_cache_hits = Atomic.make 0
 let n_memo_hits = Atomic.make 0
 
+(* How a build obtained its artifact. *)
+type origin = Compiled | On_disk
+
+let count = function Compiled -> Atomic.incr n_compiles | On_disk -> Atomic.incr n_cache_hits
+
 (* Compiles [source] into the cache if no artifact for [key] exists yet;
-   returns the cached `.cmxs` path.  Staging happens in a per-pid build
+   returns the cached `.cmxs` path, and tells [count] whether it compiled
+   or found the artifact.  Staging happens in a per-pid build
    directory (ocamlopt writes its .cmi/.cmx/.o next to the source, and the
    module name must match the final file name), and publication is an
    atomic rename — two processes racing on one key each stage privately and
    the renames serialize.  An unusable cache directory, a failed write or
    a failed spawn is an [Error], like a compiler error. *)
-let compile_cmxs tc ~source ~key : (string, string) result =
+let compile_cmxs ?(count = count) tc ~source ~key : (string, string) result =
   let cache = cache_dir () in
-  let dest = Filename.concat cache (module_name key ^ ".cmxs") in
+  let dest = artifact_file key in
   if Sys.file_exists dest then begin
-    Atomic.incr n_cache_hits;
+    count On_disk;
     Ok dest
   end
   else begin
-    Atomic.incr n_compiles;
+    count Compiled;
     let build = Filename.concat cache (Printf.sprintf "build.%d.%s" (Unix.getpid ()) key) in
     let ml = Filename.concat build (module_name key ^ ".ml") in
     let cmxs = Filename.concat build (module_name key ^ ".cmxs") in
@@ -235,28 +248,45 @@ let compile_cmxs tc ~source ~key : (string, string) result =
         | Sys_error msg -> Error (Printf.sprintf "native build in %s failed: %s" cache msg))
   end
 
-let load_cmxs path : (Native_abi.plugin, string) result =
-  match Dynlink.loadfile_private path with
-  | exception Dynlink.Error e -> Error (Dynlink.error_message e)
-  | exception e -> Error (Printexc.to_string e)
-  | () -> (
-    match Native_abi.take () with
-    | Some p -> Ok p
-    | None -> Error "loaded module did not register a plugin")
+(* Dynlinks [path] and takes every plugin it registered, in order.  A load
+   that fails part-way may have registered some: they are dropped too. *)
+let load_all path : (Native_abi.plugin list, string) result =
+  let loaded =
+    match Dynlink.loadfile_private path with
+    | exception Dynlink.Error e -> Error (Dynlink.error_message e)
+    | exception e -> Error (Printexc.to_string e)
+    | () -> Ok ()
+  in
+  let plugins = Native_abi.take_all () in
+  Result.map (fun () -> plugins) loaded
 
-(* One global mutex guards three things: the plugin memo, the set of keys
-   some domain is building ([in_flight]), and Dynlink (not safe for
-   concurrent use) together with its one-slot {!Native_abi} handshake.
-   The build itself — an ocamlopt child process, most of a cold trial —
-   runs with the lock released, so domains building different programs
-   overlap.  A domain that asks for a key already in flight waits on
-   [built] and then takes the memo hit, so each program still compiles
+let load_cmxs path : (Native_abi.plugin, string) result =
+  match load_all path with
+  | Error e -> Error e
+  | Ok [ p ] -> Ok p
+  | Ok [] -> Error "loaded module did not register a plugin"
+  | Ok ps -> Error (Printf.sprintf "loaded module registered %d plugins, not one" (List.length ps))
+
+let fits (desc : Ir.t) (p : Native_abi.plugin) =
+  p.Native_abi.np_depth = desc.Ir.d_depth && p.Native_abi.np_width = desc.Ir.d_width
+
+(* One global mutex guards four things: the plugin memo, its first-request
+   marks, the set of keys some domain is building ([in_flight]), and
+   Dynlink (not safe for concurrent use) together with its {!Native_abi}
+   handshake.  The build itself — an ocamlopt child process, most of a cold
+   trial — runs with the lock released, so domains building different
+   programs overlap.  A domain that asks for a key already in flight waits
+   on [built] and then takes the memo hit, so each program still compiles
    once per process.  Loaded plugins are memoized per content key: the
    emitted code is pure over caller-provided arrays, so one plugin instance
-   serves any number of substrate values concurrently. *)
+   serves any number of substrate values concurrently.  A plugin
+   {!build_all} memoized carries a mark until its first request: how its
+   group's artifact was obtained, which that request counts instead of a
+   memo hit. *)
 let lock = Mutex.create ()
 let built = Condition.create ()
 let memo : (string, Native_abi.plugin) Hashtbl.t = Hashtbl.create 16
+let marks : (string, origin) Hashtbl.t = Hashtbl.create 16
 let in_flight : (string, unit) Hashtbl.t = Hashtbl.create 4
 
 let stats () =
@@ -266,9 +296,13 @@ let stats () =
     st_memo_hits = Atomic.get n_memo_hits;
   }
 
-(* Drops the in-process plugin memo (the on-disk cache is untouched); test
-   hook for exercising cache hit and corrupted-artifact paths. *)
-let clear_memo () = Mutex.protect lock (fun () -> Hashtbl.reset memo)
+(* Drops the in-process plugin memo and its marks (the on-disk cache is
+   untouched); test hook for exercising cache hit and corrupted-artifact
+   paths. *)
+let clear_memo () =
+  Mutex.protect lock (fun () ->
+      Hashtbl.reset memo;
+      Hashtbl.reset marks)
 
 (* Under [lock]: the memoized plugin, or [None] once this domain holds the
    claim on [key] — after waiting out any domain already building it.  A
@@ -277,7 +311,11 @@ let clear_memo () = Mutex.protect lock (fun () -> Hashtbl.reset memo)
 let rec claim key =
   match Hashtbl.find_opt memo key with
   | Some p ->
-    Atomic.incr n_memo_hits;
+    (match Hashtbl.find_opt marks key with
+    | Some origin ->
+      Hashtbl.remove marks key;
+      count origin
+    | None -> Atomic.incr n_memo_hits);
     Some p
   | None when Hashtbl.mem in_flight key ->
     Condition.wait built lock;
@@ -285,6 +323,12 @@ let rec claim key =
   | None ->
     Hashtbl.replace in_flight key ();
     None
+
+(* Drops claims and wakes their waiters. *)
+let release keys =
+  Mutex.protect lock (fun () ->
+      List.iter (Hashtbl.remove in_flight) keys;
+      Condition.broadcast built)
 
 (* Compile (lock released) and load (lock held) the plugin for a claimed
    key. *)
@@ -305,9 +349,7 @@ let build tc (desc : Ir.t) ~source ~key : (Native_abi.plugin, string) result =
         | Ok path -> load path))
   in
   match result with
-  | Ok p when p.Native_abi.np_depth <> desc.Ir.d_depth || p.Native_abi.np_width <> desc.Ir.d_width
-    ->
-    Error "loaded plugin geometry does not match the description"
+  | Ok p when not (fits desc p) -> Error "loaded plugin geometry does not match the description"
   | Ok p ->
     Mutex.protect lock (fun () -> Hashtbl.replace memo key p);
     Ok p
@@ -323,12 +365,107 @@ let plugin_for (desc : Ir.t) ~mc : (Native_abi.plugin, string) result =
     | Some p -> Ok p
     | None ->
       (* the claim is released and waiters woken on every path *)
+      Fun.protect ~finally:(fun () -> release [ key ]) (fun () -> build tc desc ~source ~key))
+
+(* --- Block builds ---------------------------------------------------------------
+
+   Nearly all of a one-program build is the compiler's fixed start-up: the
+   compiler itself, two assembler runs and the shared-object link.
+   [build_all] therefore compiles many programs as one group module — each
+   program's unchanged emitted source as submodule [P<i>] — in one
+   ocamlopt run and one Dynlink, and memoizes every plugin under its own
+   content key, so the {!create} calls that follow are memo lookups. *)
+
+(* The most programs one group holds.  The compiler's memory grows with
+   the group (42 MB at 64 programs, 108 MB at 256), and a campaign block
+   ([--checkpoint-every]) has no upper bound, so a large block is split
+   into more groups rather than larger ones. *)
+let max_group = 64
+
+let group_source sources =
+  String.concat ""
+    (List.mapi (fun i source -> Printf.sprintf "module P%d = struct\n%s\nend\n\n" i source) sources)
+
+(* [items] in [g] contiguous groups whose sizes differ by at most one. *)
+let split_even g items =
+  let a = Array.of_list items in
+  let n = Array.length a in
+  let start i = (i * (n / g)) + min i (n mod g) in
+  List.init g (fun i -> Array.to_list (Array.sub a (start i) (start (i + 1) - start i)))
+
+(* Compiles (lock released) and loads (lock held) one group of claimed
+   programs, whatever its size.  A group that fails to compile, load or
+   register exactly its programs memoizes nothing and its artifact is
+   evicted: {!create} then builds each of its programs alone. *)
+let build_group tc (group : (Ir.t * string * string) list) =
+  let source = group_source (List.map (fun (_, source, _) -> source) group) in
+  let origin = ref Compiled in
+  match compile_cmxs ~count:(( := ) origin) tc ~source ~key:(content_key source) with
+  | Error _ -> ()
+  | Ok path ->
+    Mutex.protect lock (fun () ->
+        match load_all path with
+        | Ok plugins
+          when List.compare_lengths plugins group = 0
+               && List.for_all2 (fun (desc, _, _) p -> fits desc p) group plugins ->
+          List.iter2
+            (fun (_, _, key) p ->
+              Hashtbl.replace memo key p;
+              Hashtbl.replace marks key !origin)
+            group plugins
+        | Ok _ | Error _ -> ( try Sys.remove path with Sys_error _ -> ()))
+
+(* [build_all ~jobs programs] builds, ahead of their {!create} calls, the
+   plugins of [programs] that are not memoized, in flight, or cached as
+   per-program artifacts: in [max (min jobs n) (ceil (n / max_group))]
+   groups of the [n] distinct programs, at most [jobs] compiling at a time.
+   Best effort: it never raises, and whatever it could not build is left to
+   {!create}. *)
+let build_all ~jobs (programs : (Ir.t * Machine_code.t) list) : unit =
+  match probe () with
+  | Error _ -> ()
+  | Ok tc ->
+    let seen = Hashtbl.create 64 in
+    let distinct =
+      List.filter_map
+        (fun (desc, mc) ->
+          match Emit.native_source desc ~mc with
+          | exception _ -> None (* its create raises the same way *)
+          | source ->
+            let key = content_key source in
+            if Hashtbl.mem seen key then None
+            else begin
+              Hashtbl.add seen key ();
+              Some (desc, source, key)
+            end)
+        programs
+    in
+    let claimed =
+      Mutex.protect lock (fun () ->
+          List.filter
+            (fun (_, _, key) ->
+              let taken =
+                Hashtbl.mem memo key || Hashtbl.mem in_flight key
+                || Sys.file_exists (artifact_file key)
+              in
+              if not taken then Hashtbl.replace in_flight key ();
+              not taken)
+            distinct)
+    in
+    let n = List.length claimed in
+    if n > 0 then
       Fun.protect
-        ~finally:(fun () ->
-          Mutex.protect lock (fun () ->
-              Hashtbl.remove in_flight key;
-              Condition.broadcast built))
-        (fun () -> build tc desc ~source ~key))
+        ~finally:(fun () -> release (List.map (fun (_, _, key) -> key) claimed))
+        (fun () ->
+          let jobs = max 1 jobs in
+          let groups = split_even (max (min jobs n) ((n + max_group - 1) / max_group)) claimed in
+          (* [build_group]'s own failures stay in its group; only spawning a
+             domain can still raise *)
+          try
+            ignore
+              (Parallel.map ~jobs (fun group -> try build_group tc group with _ -> ()) groups
+                : unit list)
+          with _ -> ())
 
 (* --- Runtime driver ---------------------------------------------------------
 

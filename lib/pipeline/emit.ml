@@ -391,7 +391,7 @@ let emit_stage ctx buf (d : Ir.t) (st : Ir.stage) =
   Printf.bprintf buf "%s\n\n" (String.concat ";\n" sets)
 
 (* The full module.  Self-contained: Stdlib only, plus the one
-   registration call into the host's {!Druzhba_dsim.Native_abi} slot. *)
+   registration call into the host's {!Druzhba_dsim.Native_abi}. *)
 let native_source (d : Ir.t) ~mc : string =
   let ctx = { n_bits = d.Ir.d_bits; n_mc = mc; n_helpers = d.Ir.d_helpers; n_fresh = 0 } in
   let buf = Buffer.create 4096 in

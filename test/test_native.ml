@@ -9,9 +9,11 @@
    The rest covers the machinery around that property: the
    content-addressed build cache (memo hit, disk hit, corrupted-artifact
    recovery), concurrent builds from several domains (one compile per
-   program, no leftover staging), emitted-source determinism (what makes
-   the cache sound), and graceful degradation when the toolchain is
-   absent, the cache directory is unusable, or a build fails.
+   program, no leftover staging), a campaign block's programs built as a
+   few group modules (accounting, warm and corrupted group artifacts,
+   resume), emitted-source determinism (what makes the cache sound), and
+   graceful degradation when the toolchain is absent, the cache directory
+   is unusable, or a build fails.
 
    On a machine without ocamlopt/natdynlink the whole binary degrades to
    a single passing test that prints the probe's reason — the same
@@ -292,6 +294,133 @@ let test_concurrent_two_programs () =
       in
       Alcotest.(check (list string)) "no staging dir left" [] staging)
 
+(* --- Block builds ------------------------------------------------------------- *)
+
+(* Eight native trials whose master seed draws one program twice: seven
+   distinct programs, so a cold cache means seven compiles and one memo
+   hit.  [Campaign.run_resumable] builds each block's programs as
+   [jobs] group modules before the block's trials start. *)
+let block_cfg ?(trials = 8) ?(checkpoint_every = 64) jobs =
+  Campaign.config ~trials ~jobs ~master_seed:(Prng.derive 3 24) ~substrate:"native" ~phvs:20
+    ~checkpoint_every ()
+
+let use_cache dir =
+  Unix.putenv "DRUZHBA_NATIVE_CACHE_DIR" dir;
+  Native_substrate.clear_memo ()
+
+(* The report bytes and the (compiles, memo hits, cache hits) it cost. *)
+let counted_run cfg =
+  let s0 = Native_substrate.stats () in
+  let r = Campaign.run cfg in
+  Alcotest.(check (list string)) "no notes" [] r.Campaign.r_notes;
+  (Campaign.to_json r, stats_delta s0 (Native_substrate.stats ()))
+
+let counts = Alcotest.(triple int int int)
+
+let test_block_build () =
+  with_temp_cache_dir (fun dir ->
+      let report jobs =
+        let cache = Filename.concat dir (Printf.sprintf "jobs-%d" jobs) in
+        use_cache cache;
+        let json, cost = counted_run (block_cfg jobs) in
+        Alcotest.check counts
+          (Printf.sprintf "jobs %d: (compiles, memo hits, cache hits)" jobs)
+          (7, 1, 0) cost;
+        Alcotest.(check int)
+          (Printf.sprintf "jobs %d: one artifact per group" jobs)
+          jobs
+          (List.length (find_cmxs cache));
+        json
+      in
+      let jobs1 = report 1 in
+      let jobs2 = report 2 in
+      Alcotest.(check string) "report bytes equal at jobs 1 and 2" jobs1 jobs2)
+
+(* A rerun in the same process after [clear_memo] loads the group
+   artifacts from disk: every first request counts a disk hit. *)
+let test_block_warm_rerun () =
+  with_temp_cache_dir (fun _dir ->
+      let cold, _ = counted_run (block_cfg 2) in
+      Native_substrate.clear_memo ();
+      let warm, cost = counted_run (block_cfg 2) in
+      Alcotest.check counts "(compiles, memo hits, cache hits)" (0, 1, 7) cost;
+      Alcotest.(check string) "same report" cold warm)
+
+(* Garbage at every group artifact's content address: the group loads
+   fail, the artifacts are evicted, and each program builds alone.  The
+   garbage goes into a second cache directory under the names the first
+   run published, because this process has Dynlinked the first
+   directory's files: the loader would serve them from its handle cache,
+   and overwriting a mapped file in place can crash the process. *)
+let test_block_corrupt_group () =
+  with_temp_cache_dir (fun dir ->
+      let built = Filename.concat dir "built" and corrupt = Filename.concat dir "corrupt" in
+      use_cache built;
+      let reference, _ = counted_run (block_cfg 2) in
+      let groups = List.map Filename.basename (find_cmxs built) in
+      Unix.mkdir corrupt 0o755;
+      List.iter
+        (fun name ->
+          Out_channel.with_open_bin (Filename.concat corrupt name) (fun oc ->
+              output_string oc "not a shared object"))
+        groups;
+      use_cache corrupt;
+      let json, cost = counted_run (block_cfg 2) in
+      Alcotest.(check string) "same report" reference json;
+      Alcotest.check counts "(compiles, memo hits, cache hits)" (7, 1, 0) cost;
+      Alcotest.(check (list string)) "group artifacts evicted" []
+        (List.filter (fun name -> Sys.file_exists (Filename.concat corrupt name)) groups);
+      Alcotest.(check int) "one artifact per program" 7 (List.length (find_cmxs corrupt)))
+
+(* Each block builds its own programs, so a campaign cut after its first
+   block and resumed at the other job count reports what an uninterrupted
+   run reports. *)
+let test_block_resume () =
+  with_temp_cache_dir (fun dir ->
+      let cfg jobs = block_cfg ~trials:16 ~checkpoint_every:8 jobs in
+      let reference, _ = counted_run (cfg 1) in
+      List.iter
+        (fun (first, second) ->
+          let ck = Filename.concat dir (Printf.sprintf "resume-%d.ck" first) in
+          Native_substrate.clear_memo ();
+          (match Campaign.run_resumable ~checkpoint:ck ~stop_after:8 (cfg first) with
+          | None -> ()
+          | Some _ -> Alcotest.fail "stop_after 8 must cut the campaign");
+          Native_substrate.clear_memo ();
+          match Campaign.run_resumable ~checkpoint:ck ~resume:true (cfg second) with
+          | Some r ->
+            Alcotest.(check string)
+              (Printf.sprintf "jobs %d then %d: resumed report equals an uninterrupted run" first
+                 second)
+              reference (Campaign.to_json r)
+          | None -> Alcotest.fail "the resumed campaign must finish")
+        [ (1, 2); (2, 1) ])
+
+(* A generator bug in the native draw (here, an atom name the library does
+   not know) raises while the block's programs are planned, before any
+   trial runs.  The plan leaves those programs to their trials, which
+   report the crash as they would without block builds. *)
+let test_block_plan_raises () =
+  with_temp_cache_dir (fun _dir ->
+      let pool = Campaign.stateful_pool in
+      let saved = Array.copy pool in
+      Array.fill pool 0 (Array.length pool) "no_such_atom";
+      let r =
+        Fun.protect
+          ~finally:(fun () -> Array.blit saved 0 pool 0 (Array.length pool))
+          (fun () -> Campaign.run (block_cfg ~trials:4 2))
+      in
+      Alcotest.(check int) "every trial crashed" 4 r.Campaign.r_crashed;
+      let expected =
+        Printexc.to_string (Invalid_argument "Atoms.find_exn: unknown ALU 'no_such_atom'")
+      in
+      List.iter
+        (fun (t : Campaign.trial) ->
+          match t.Campaign.t_outcome with
+          | Campaign.Crashed { cr_exn; _ } -> Alcotest.(check string) "the draw's error" expected cr_exn
+          | _ -> Alcotest.failf "trial %d did not crash" t.Campaign.t_index)
+        r.Campaign.r_trials)
+
 (* --- Emitted-source determinism ---------------------------------------------- *)
 
 (* Non-overlapping occurrences of [sub] in [s]. *)
@@ -375,7 +504,8 @@ let test_unusable_cache_dir () =
         created)
 
 (* Per-program build failures after a successful probe: compiled
-   interfaces that exist but are garbage make every build fail.  The trials
+   interfaces that exist but are garbage make every build fail — each
+   block's group module first, then every program alone.  The trials
    degrade to the closures, and the report says so in one note that is
    byte-identical at jobs 1 and 2. *)
 let test_build_failure_note () =
@@ -425,6 +555,14 @@ let available_suites =
       [
         Alcotest.test_case "four domains, one program" `Quick test_concurrent_same_program;
         Alcotest.test_case "two domains, two programs" `Quick test_concurrent_two_programs;
+      ] );
+    ( "block builds",
+      [
+        Alcotest.test_case "one group per job, cold" `Quick test_block_build;
+        Alcotest.test_case "warm rerun reads the groups" `Quick test_block_warm_rerun;
+        Alcotest.test_case "corrupt group artifacts" `Quick test_block_corrupt_group;
+        Alcotest.test_case "resume at the other job count" `Quick test_block_resume;
+        Alcotest.test_case "a raising draw crashes its trial" `Quick test_block_plan_raises;
       ] );
     ( "emitter",
       [ Alcotest.test_case "source determinism" `Quick test_emitted_source_deterministic ] );
