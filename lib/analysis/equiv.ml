@@ -385,12 +385,13 @@ let replay ~mc ~(subject : subject) ~(assign : Symbolic.atom -> int) (d : Ir.t) 
   in
   let ctx = Interp.ctx_of d ~mc in
   let stage = d.Ir.d_stages.(s) in
+  let resolved = Interp.resolve_stage ctx stage in
   let phv = Array.init d.Ir.d_width (fun k -> assign (Symbolic.Aphv k)) in
   let nsl = Array.length stage.Ir.s_stateless and nsf = Array.length stage.Ir.s_stateful in
   let args = Array.make (nsl + (2 * nsf) + 1) 0 in
   Array.iteri
     (fun j alu -> args.(j) <- Interp.run_alu ctx alu ~phv ~state:[||])
-    stage.Ir.s_stateless;
+    resolved.Interp.st_stateless;
   let states =
     Array.map
       (fun alu ->
@@ -399,12 +400,12 @@ let replay ~mc ~(subject : subject) ~(assign : Symbolic.atom -> int) (d : Ir.t) 
   in
   Array.iteri
     (fun j alu -> args.(nsl + j) <- Interp.run_alu ctx alu ~phv ~state:states.(j))
-    stage.Ir.s_stateful;
+    resolved.Interp.st_stateful;
   Array.iteri (fun j _ -> args.(nsl + nsf + j) <- states.(j).(0)) stage.Ir.s_stateful;
   match subject with
   | Container (_, c) ->
     args.(nsl + (2 * nsf)) <- phv.(c);
-    Interp.apply_output_mux ctx stage.Ir.s_output_muxes.(c) ~args ~n_args:(nsl + (2 * nsf) + 1)
+    Interp.run_mux ctx resolved.Interp.st_muxes.(c) ~args ~n_args:(nsl + (2 * nsf) + 1)
   | State_slot (alu, k) ->
     let j = ref (-1) in
     Array.iteri (fun i a -> if String.equal a.Ir.a_name alu then j := i) stage.Ir.s_stateful;

@@ -428,7 +428,7 @@ type stage_sym = {
   sg_state : (string * sym array) list;  (* stateful ALU -> post-execution slots *)
 }
 
-(* Mirrors {!Interp.apply_output_mux}: positional parameter binding over the
+(* Mirrors {!Interp.run_mux}: positional parameter binding over the
    engine's argument layout, with a trailing "ctrl" parameter resolved from
    machine code under the mux's own name. *)
 let apply_mux env name ~(arg : int -> sym) ~n_args =

@@ -143,7 +143,9 @@ let diff_runs ~(ref_buf : Trace.Buffer.t) ~ref_state ~(act_buf : Trace.Buffer.t)
 
 (* The six RMT configurations, reference (interpreter on the unoptimized
    description) first.  The per-level optimized descriptions are shared
-   between the two backends, so the optimizer runs once per level.
+   between the two backends, and one staged run of the optimizer yields
+   both optimized levels: [Scc] is the [dead_elim] snapshot on the way to
+   [Scc_inline], so no pass runs twice.
 
    [transform] (if any) rewrites each optimized description before the
    candidate substrates are built from it — the reference never sees it.
@@ -154,10 +156,19 @@ let rmt_substrates ?(init = []) ?transform ~(desc : Ir.t) ~mc () : Substrate.pac
   let apply_transform level d =
     match transform with None -> d | Some f -> f level d
   in
+  let staged = Optimizer.apply_staged ~level:Optimizer.Scc_inline ~mc desc in
+  let after pass =
+    (List.find (fun st -> String.equal st.Optimizer.st_pass pass) staged).Optimizer.st_desc
+  in
+  let at_level = function
+    | Optimizer.Unoptimized -> desc
+    | Optimizer.Scc -> after "dead_elim"
+    | Optimizer.Scc_inline -> after "inline_functions"
+  in
   Substrate.of_engine ~label:"interpreter@unoptimized" ~init desc ~mc
   :: List.concat_map
        (fun level ->
-         let optimized = apply_transform level (Optimizer.apply ~level ~mc desc) in
+         let optimized = apply_transform level (at_level level) in
          let compiled = Compile.compile optimized ~mc in
          let interp =
            if level = Optimizer.Unoptimized then []

@@ -23,6 +23,8 @@ module Interp = Druzhba_pipeline.Interp
 type t = {
   desc : Ir.t;
   ctx : Interp.ctx;
+  (* stages.(s): stage s of [desc] resolved against [ctx] at {!create} *)
+  stages : Interp.stage array;
   depth : int;
   width : int;
   (* Ping-pong register file: row s of [cur] = PHV waiting at the input of
@@ -70,7 +72,9 @@ let load_init state (desc : Ir.t) init =
       desc.Ir.d_stages
 
 (* [init] optionally preloads stateful-ALU state vectors (keyed by ALU
-   name), modelling control-plane register initialization. *)
+   name), modelling control-plane register initialization.  The description
+   is resolved here, once; its errors (unknown helpers, unbound variables,
+   missing machine-code pairs) still raise at the tick that evaluates them. *)
 let create ?(init = []) (desc : Ir.t) ~mc =
   let depth = desc.Ir.d_depth in
   let width = desc.Ir.d_width in
@@ -92,9 +96,11 @@ let create ?(init = []) (desc : Ir.t) ~mc =
           0)
       desc.Ir.d_stages
   in
+  let ctx = Interp.ctx_of desc ~mc in
   {
     desc;
-    ctx = Interp.ctx_of desc ~mc;
+    ctx;
+    stages = Array.map (Interp.resolve_stage ctx) desc.Ir.d_stages;
     depth;
     width;
     cur = Array.make ((depth + 1) * width) 0;
@@ -137,7 +143,8 @@ let exec_stage t (st : Ir.stage) s =
   Array.blit t.cur (s * width) t.phv_scratch 0 width;
   let phv = t.phv_scratch in
   let args = t.args.(s) in
-  let stateless = st.Ir.s_stateless and stateful = st.Ir.s_stateful in
+  let rs = t.stages.(s) in
+  let stateless = rs.Interp.st_stateless and stateful = rs.Interp.st_stateful in
   let nsl = Array.length stateless and nsf = Array.length stateful in
   let state = t.state.(st.Ir.s_index) and snapshots = t.snapshots.(st.Ir.s_index) in
   for i = 0 to nsl - 1 do
@@ -155,7 +162,7 @@ let exec_stage t (st : Ir.stage) s =
   let dst = (s + 1) * width in
   for c = 0 to width - 1 do
     args.(n - 1) <- phv.(c);
-    t.nxt.(dst + c) <- Interp.apply_output_mux ctx st.Ir.s_output_muxes.(c) ~args ~n_args:n
+    t.nxt.(dst + c) <- Interp.run_mux ctx rs.Interp.st_muxes.(c) ~args ~n_args:n
   done
 
 (* Advances the pipeline by one tick.  The caller has already placed the
@@ -223,9 +230,9 @@ let current_state t =
 (* Feeds [inputs] one per tick, then drains the pipeline, blitting each
    exiting PHV into [buf] (cleared first).  This is the steady-state hot
    path: with a presized buffer no per-PHV allocation happens (the
-   interpreter's expression-level environments aside — see {!Compiled} for
-   the fully allocation-free substrate).  The engine must be fresh or
-   [reset].  Final state is read separately via {!current_state}.
+   interpreter's frames live on its context's preallocated stack).  The
+   engine must be fresh or [reset].  Final state is read separately via
+   {!current_state}.
 
    [budget] (if any) is spent one unit per tick; {!Budget.Exhausted}
    escapes to the caller mid-run — the per-trial watchdog of the campaign

@@ -7,6 +7,7 @@ module Ir = Druzhba_pipeline.Ir
 module Dgen = Druzhba_pipeline.Dgen
 module Names = Druzhba_pipeline.Names
 module Compile = Druzhba_pipeline.Compile
+module Interp = Druzhba_pipeline.Interp
 module Engine = Druzhba_dsim.Engine
 module Compiled = Druzhba_dsim.Compiled
 module Budget = Druzhba_dsim.Budget
@@ -342,6 +343,130 @@ let test_budget_bounds_engine () =
   Alcotest.(check int) "ample fuel completes" (List.length inputs)
     (List.length (Trace.Buffer.contents buf))
 
+(* --- Lazy errors ------------------------------------------------------------------ *)
+
+(* The engine resolves its description once, at [create], but every error
+   still raises at the evaluation that meets it, with the text a direct walk
+   of the description raises: a description that never reaches its defect
+   runs cleanly. *)
+
+(* The accumulator with the body of its stateful ALU replaced. *)
+let with_stateful_body body =
+  let desc, mc = accumulator () in
+  let st = desc.Ir.d_stages.(0) in
+  let alu = { (st.Ir.s_stateful.(0)) with Ir.a_body = body } in
+  ({ desc with Ir.d_stages = [| { st with Ir.s_stateful = [| alu |] } |] }, mc)
+
+(* Runs [inputs] through a fresh engine, created before any input is seen. *)
+let run_fresh desc ~mc inputs =
+  let engine = Engine.create desc ~mc in
+  let buf = Trace.Buffer.create ~width:1 ~capacity:(List.length inputs) in
+  Engine.run_into engine ~inputs:(List.map (fun v -> [| v |]) inputs) buf
+
+(* [body] runs only on a PHV whose container 0 holds 7. *)
+let on_seven body = [ Ir.If (Ir.Binop (Ir.Eq, Ir.Phv 0, Ir.Const 7), body, []) ]
+
+let test_lazy_missing_pair () =
+  List.iter
+    (fun name ->
+      let desc, mc = accumulator () in
+      Machine_code.remove mc name;
+      let engine = Engine.create desc ~mc in
+      let buf = Trace.Buffer.create ~width:1 ~capacity:2 in
+      Alcotest.check_raises name (Machine_code.Missing name) (fun () ->
+          Engine.run_into engine ~inputs:[ [| 1 |]; [| 2 |] ] buf))
+    [
+      Names.output_mux ~stage:0 ~container:0;
+      Names.input_mux ~alu_prefix:(Names.stateful_alu ~stage:0 ~alu:0) ~operand:0;
+    ]
+
+let test_lazy_unknown_helper () =
+  let desc, mc = with_stateful_body (on_seven [ Ir.Return (Ir.Call ("no_such_helper", [])) ]) in
+  run_fresh desc ~mc [ 1; 2; 3 ];
+  Alcotest.check_raises "branch taken" (Invalid_argument "Interp: unknown helper 'no_such_helper'")
+    (fun () -> run_fresh desc ~mc [ 1; 7 ])
+
+let test_lazy_unbound_variable () =
+  let desc, mc = with_stateful_body (on_seven [ Ir.Store (0, Ir.Var "ghost") ]) in
+  run_fresh desc ~mc [ 1; 2; 3 ];
+  Alcotest.check_raises "branch taken" (Interp.Unbound_variable "ghost") (fun () ->
+      run_fresh desc ~mc [ 7 ]);
+  (* a [Let] in a branch is out of scope after its [If] *)
+  let desc, mc =
+    with_stateful_body (on_seven [ Ir.Let ("x", Ir.Const 1) ] @ [ Ir.Store (0, Ir.Var "x") ])
+  in
+  Alcotest.check_raises "branch local after its If" (Interp.Unbound_variable "x") (fun () ->
+      run_fresh desc ~mc [ 7 ])
+
+let test_lazy_arity_mismatch () =
+  (* the input mux takes (phv0, ctrl) *)
+  let mux = Names.input_mux ~alu_prefix:(Names.stateful_alu ~stage:0 ~alu:0) ~operand:0 in
+  let call args = with_stateful_body (on_seven [ Ir.Store (0, Ir.Call (mux, args)) ]) in
+  let desc, mc = call [ Ir.Phv 0 ] in
+  run_fresh desc ~mc [ 1 ];
+  Alcotest.check_raises "too few arguments" (Invalid_argument "List.fold_left2") (fun () ->
+      run_fresh desc ~mc [ 7 ]);
+  (* arguments past the shorter list are never evaluated *)
+  let desc, mc = call [ Ir.Phv 0; Ir.Const 0; Ir.Mc "absent" ] in
+  Alcotest.check_raises "too many arguments" (Invalid_argument "List.fold_left2") (fun () ->
+      run_fresh desc ~mc [ 7 ]);
+  (* ... but those before the mismatch are, first *)
+  let desc, mc = call [ Ir.Mc "absent" ] in
+  Alcotest.check_raises "argument before the mismatch" (Machine_code.Missing "absent") (fun () ->
+      run_fresh desc ~mc [ 7 ])
+
+(* Of two parameters sharing a name, the last one binds. *)
+let test_duplicate_parameter_last_wins () =
+  let desc, mc =
+    with_stateful_body [ Ir.Store (0, Ir.Call ("dup", [ Ir.Const 5; Ir.Const 9 ])) ]
+  in
+  let helpers = Hashtbl.copy desc.Ir.d_helpers in
+  Hashtbl.replace helpers "dup"
+    { Ir.h_name = "dup"; h_params = [ "a"; "a" ]; h_body = Ir.Var "a"; h_ctrl = None };
+  let desc = { desc with Ir.d_helpers = helpers } in
+  let trace = Engine.run desc ~mc ~inputs:[ [| 1 |] ] in
+  Alcotest.(check (option (list int)))
+    "second argument" (Some [ 9 ])
+    (Option.map Array.to_list (Trace.find_state trace (Names.stateful_alu ~stage:0 ~alu:0)))
+
+(* The coverage probe numbers branch sites in pre-order over the ALU body,
+   whatever path runs, and reports latches and the explicit/default
+   output. *)
+let test_probe_branch_sites () =
+  let on k = Ir.Binop (Ir.Eq, Ir.Phv 0, Ir.Const k) in
+  let desc, mc =
+    with_stateful_body
+      [
+        Ir.If
+          ( on 1,
+            [ Ir.If (on 1, [], [ Ir.If (on 2, [], []) ]) ],
+            [ Ir.If (on 2, [ Ir.Store (0, Ir.Const 5) ], []) ] );
+        Ir.If (on 2, [ Ir.Return (Ir.Const 9) ], []);
+        Ir.If (on 3, [], []);
+      ]
+  in
+  let alu = Names.stateful_alu ~stage:0 ~alu:0 in
+  let events = ref [] in
+  let log alu' e = if String.equal alu' alu then events := e :: !events in
+  let probe =
+    {
+      Interp.pr_branch =
+        (fun ~alu ~site ~taken ->
+          log alu (Printf.sprintf "b%d%c" site (if taken then 't' else 'f')));
+      pr_latch = (fun ~alu ~slot -> log alu (Printf.sprintf "l%d" slot));
+      pr_output = (fun ~alu ~returned -> log alu (if returned then "return" else "default"));
+      pr_mux = (fun ~mux:_ ~ctrl:_ -> ());
+    }
+  in
+  let engine = Engine.create desc ~mc in
+  Engine.instrument engine (Some probe);
+  let buf = Trace.Buffer.create ~width:1 ~capacity:2 in
+  Engine.run_into engine ~inputs:[ [| 1 |]; [| 2 |] ] buf;
+  Alcotest.(check (list string))
+    "pre-order sites"
+    [ "b0t"; "b1t"; "b4f"; "b5f"; "default"; "b0f"; "b3t"; "l0"; "b4t"; "return" ]
+    (List.rev !events)
+
 (* --- Faults (hardware fault injection) ---------------------------------------- *)
 
 let test_faults_deterministic () =
@@ -618,6 +743,17 @@ let () =
           Alcotest.test_case "of_seconds uses the nominal rate" `Quick test_budget_of_seconds;
           Alcotest.test_case "bounds an engine run" `Quick test_budget_bounds_engine;
         ] );
+      ( "lazy errors",
+        [
+          Alcotest.test_case "missing pair: raises at run" `Quick test_lazy_missing_pair;
+          Alcotest.test_case "unknown helper: raises if reached" `Quick test_lazy_unknown_helper;
+          Alcotest.test_case "unbound var: raises if reached" `Quick test_lazy_unbound_variable;
+          Alcotest.test_case "arity mismatch: List.fold_left2" `Quick test_lazy_arity_mismatch;
+          Alcotest.test_case "duplicate parameter: last wins" `Quick
+            test_duplicate_parameter_last_wins;
+        ] );
+      ( "probe",
+        [ Alcotest.test_case "pre-order branch sites" `Quick test_probe_branch_sites ] );
       ( "faults",
         [
           Alcotest.test_case "plans are pure in their seed" `Quick test_faults_deterministic;

@@ -11,6 +11,8 @@
    in the engine, compiled ALUs, or muxes — cost tens to thousands of bytes
    per PHV, far above the bound.
 
+   The interpreter holds it too, at every optimization level.
+
    The dRMT substrates hold the same bound per packet: each prepares its
    program once and re-arms preallocated packet rows, table selections and
    register file on every run.
@@ -64,6 +66,32 @@ let test_steady_state_allocation (bm : Spec.benchmark) () =
   if per_phv >= bytes_per_phv_bound then
     Alcotest.failf "%s: %.2f bytes allocated per steady-state PHV (bound %.0f)" bm.Spec.bm_name
       per_phv bytes_per_phv_bound
+
+(* The interpreter holds the same bound at every level: {!Engine.create}
+   resolves the description once (calls point at their helpers, variables
+   are frame slots, output muxes know their helpers), and frames live on
+   the engine's preallocated stack, so a tick neither hashes a helper name
+   nor builds an environment.  Only [Mc] nodes still pay a hash lookup,
+   which allocates nothing. *)
+let test_interpreter_steady_state_allocation (bm : Spec.benchmark) () =
+  let desc, mc, init = setup bm in
+  let inputs =
+    Traffic.phvs (Traffic.create ~seed:0xA110C ~width:bm.Spec.bm_width ~bits:32) alloc_phvs
+  in
+  List.iter
+    (fun level ->
+      let t = Engine.create ~init (Optimizer.apply ~level ~mc desc) ~mc in
+      let buf = Trace.Buffer.create ~width:bm.Spec.bm_width ~capacity:alloc_phvs in
+      Engine.run_into t ~inputs buf;
+      Engine.reset ~init t;
+      let a0 = Gc.allocated_bytes () in
+      Engine.run_into t ~inputs buf;
+      let a1 = Gc.allocated_bytes () in
+      let per_phv = (a1 -. a0) /. float_of_int alloc_phvs in
+      if per_phv >= bytes_per_phv_bound then
+        Alcotest.failf "%s/%s: %.2f bytes allocated per steady-state PHV (bound %.0f)"
+          bm.Spec.bm_name (Optimizer.level_name level) per_phv bytes_per_phv_bound)
+    [ Optimizer.Unoptimized; Optimizer.Scc; Optimizer.Scc_inline ]
 
 (* The batched entry point ({!Substrate.run_batch_into}, now an alias of
    [run_into] kept for the benchmark's sources) must hold the same bound
@@ -190,6 +218,11 @@ let () =
         List.map
           (fun (bm : Spec.benchmark) ->
             Alcotest.test_case bm.Spec.bm_name `Quick (test_steady_state_allocation bm))
+          Spec.all );
+      ( "steady-state allocation (interpreter)",
+        List.map
+          (fun (bm : Spec.benchmark) ->
+            Alcotest.test_case bm.Spec.bm_name `Quick (test_interpreter_steady_state_allocation bm))
           Spec.all );
       ( "steady-state allocation (scc+inline, batched)",
         List.map

@@ -80,8 +80,8 @@ let qcheck_eval_agrees bits =
     (QCheck.make ~print:print_case (gen_case bits))
     (fun (e, phv, state) ->
       let helpers = Hashtbl.create 0 in
-      let ctx = { Interp.bits; mc = Machine_code.of_list []; helpers; probe = None; probe_on = false } in
-      let expected = Interp.eval ctx ~phv ~state [] e in
+      let ctx = Interp.create ~bits ~mc:(Machine_code.of_list []) helpers in
+      let expected = Interp.eval ctx ~phv ~state (Interp.resolve_expr ctx [] e) in
       let env =
         Symbolic.env_of ~bits ~helpers
           ~phv:(fun k -> Symbolic.Phv k)
