@@ -287,6 +287,13 @@ let parse_campaign spec fields =
   let* faults_per_run = Result.bind (get_int fields "faults_per_run") (positive "faults_per_run") in
   let* chaos_kill_after = get_int fields "chaos_kill_after" in
   let* chaos_kill_file = get_str fields "chaos_kill_file" in
+  (* the worker deletes this path from inside its job directory *)
+  let* () =
+    match chaos_kill_file with
+    | Some name when not (safe_filename name) ->
+      Error (Printf.sprintf "unsafe file name %S in \"chaos_kill_file\"" name)
+    | _ -> Ok ()
+  in
   let* files = get_files fields in
   let args =
     [ "campaign"; "--trials"; string_of_int trials ]

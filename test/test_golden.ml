@@ -9,9 +9,11 @@
    Two layers of checking per benchmark:
    1. the reference configuration (interpreter, unoptimized description)
       must render byte-identically to the committed fixture;
-   2. all six (backend x optimization level) configurations must produce a
-      trace equal to the reference — the committed fixture therefore pins
-      every configuration.
+   2. every (backend x optimization level) configuration must produce a
+      trace equal to the reference — interpreter, closures and, where the
+      native toolchain is available, the Dynlinked emitted module, at each
+      of the three levels — so the committed fixture pins every
+      configuration.
 
    Three whole campaign reports (fault mode, tick budget; substrates
    "all", "drmt" and "native") are pinned the same way, byte for byte, and
@@ -235,15 +237,45 @@ let test_fixture_matches (bm : Spec.benchmark) () =
   Alcotest.(check string) (bm.Spec.bm_name ^ " matches its golden trace") expected
     (render bm trace)
 
+(* Every row's native modules at every level, built in one compiler run
+   by the first row that needs them ([build_all] does nothing without a
+   toolchain); [Error reason] when the toolchain is unavailable. *)
+let native_built =
+  lazy
+    (Native_substrate.build_all ~jobs:1
+       (List.concat_map
+          (fun (bm : Spec.benchmark) ->
+            let compiled = Spec.compile_exn bm in
+            let mc = compiled.Codegen.c_mc in
+            List.map
+              (fun level -> (Optimizer.apply ~level ~mc compiled.Codegen.c_desc, mc))
+              Oracle.all_levels)
+          Spec.all);
+     Native_substrate.available ())
+
 let test_all_configs_match (bm : Spec.benchmark) () =
   let compiled, reference, inputs = reference_trace bm in
   let desc = compiled.Codegen.c_desc in
   let mc = compiled.Codegen.c_mc in
   let init = compiled.Codegen.c_layout.Codegen.l_init in
+  let native =
+    match Lazy.force native_built with
+    | Ok () -> true
+    | Error reason ->
+      Printf.printf "native skipped: toolchain unavailable (%s)\n" reason;
+      false
+  in
   List.iter
     (fun level ->
       let optimized = Optimizer.apply ~level ~mc desc in
       let closure = Compile.compile optimized ~mc in
+      let native_run () =
+        match Native_substrate.create ~init optimized ~mc with
+        | Ok packed -> [ ("native", run_substrate packed ~inputs) ]
+        | Error e ->
+          Alcotest.failf "%s: native@%s does not build: %s" bm.Spec.bm_name
+            (Optimizer.level_name level) e
+      in
       List.iter
         (fun (backend_name, trace) ->
           if not (Trace.equal reference trace) then
@@ -258,10 +290,11 @@ let test_all_configs_match (bm : Spec.benchmark) () =
               Alcotest.failf "%s: %s@%s diverges from golden reference at %s (%d vs %d)"
                 bm.Spec.bm_name backend_name (Optimizer.level_name level) where expected actual
             | None -> Alcotest.failf "%s: traces differ only in inputs?" bm.Spec.bm_name)
-        [
-          ("interpreter", Engine.run ~init optimized ~mc ~inputs);
-          ("closures", Compiled.run_compiled ~init closure ~inputs);
-        ])
+        ([
+           ("interpreter", Engine.run ~init optimized ~mc ~inputs);
+           ("closures", Compiled.run_compiled ~init closure ~inputs);
+         ]
+        @ if native then native_run () else []))
     Oracle.all_levels
 
 let test_drmt_fixture_matches () =

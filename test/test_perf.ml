@@ -19,9 +19,13 @@
 
    A second test pins the buffered fast path to the frozen-trace path: for
    every program and level, [run_into] + [Buffer.contents] must reproduce
-   [run_compiled] and [Engine.run] exactly. *)
+   [run_compiled] and [Engine.run] exactly.
+
+   A last test holds a removed coverage probe to zero callbacks, the
+   uninstrumented trace and the uninstrumented tick cost. *)
 
 module Ir = Druzhba_pipeline.Ir
+module Interp = Druzhba_pipeline.Interp
 module Compile = Druzhba_pipeline.Compile
 module Optimizer = Druzhba_optimizer.Optimizer
 module Engine = Druzhba_dsim.Engine
@@ -177,6 +181,65 @@ let test_batched_equals_sequential (bm : Spec.benchmark) () =
         ])
     [ Optimizer.Unoptimized; Optimizer.Scc; Optimizer.Scc_inline ]
 
+(* A coverage probe installed and then removed ([Engine.instrument e
+   (Some p)], then [None]) must leave the engine as it was: no callback
+   fires, the trace is a never-instrumented engine's, and so is the tick
+   cost (best of [probe_reps] interleaved runs; the code paths are the
+   same, so the bound's margin is noise).  Measured where coverage
+   campaigns instrument: the unoptimized description, interpreted.  A
+   counting probe costs so little that only the callback count sees a
+   removal that left it installed. *)
+let probe_phvs = 2_000
+let probe_reps = 5
+let probe_ratio_bound = 1.5
+
+let test_removed_probe_is_free () =
+  let bm = List.find (fun (b : Spec.benchmark) -> b.Spec.bm_name = "sampling") Spec.all in
+  let desc, mc, init = setup bm in
+  let inputs =
+    Traffic.phvs (Traffic.create ~seed:0xD52ba ~width:bm.Spec.bm_width ~bits:32) probe_phvs
+  in
+  let hits = ref 0 in
+  let probe =
+    {
+      Interp.pr_branch = (fun ~alu:_ ~site:_ ~taken:_ -> incr hits);
+      pr_latch = (fun ~alu:_ ~slot:_ -> incr hits);
+      pr_output = (fun ~alu:_ ~returned:_ -> incr hits);
+      pr_mux = (fun ~mux:_ ~ctrl:_ -> incr hits);
+    }
+  in
+  let baseline = Engine.create ~init desc ~mc and removed = Engine.create ~init desc ~mc in
+  let buf = Trace.Buffer.create ~width:bm.Spec.bm_width ~capacity:probe_phvs in
+  Engine.instrument removed (Some probe);
+  Engine.run_into removed ~inputs buf;
+  if !hits = 0 then Alcotest.fail "the installed probe never fired";
+  Engine.instrument removed None;
+  hits := 0;
+  let time engine =
+    let t0 = Unix.gettimeofday () in
+    Engine.run_into engine ~inputs buf;
+    Unix.gettimeofday () -. t0
+  in
+  Engine.run_into baseline ~inputs buf;
+  let best_base = ref infinity and best_off = ref infinity in
+  for _ = 1 to probe_reps do
+    best_base := Float.min !best_base (time baseline);
+    best_off := Float.min !best_off (time removed)
+  done;
+  let ratio = !best_off /. !best_base in
+  Printf.printf "off/baseline %.3f (bound %.1f)\n" ratio probe_ratio_bound;
+  Alcotest.(check int) "callbacks after removal" 0 !hits;
+  Engine.reset ~init removed;
+  Engine.run_into removed ~inputs buf;
+  let trace =
+    { Trace.inputs; outputs = Trace.Buffer.contents buf; final_state = Engine.current_state removed }
+  in
+  Alcotest.(check bool) "trace = never-instrumented engine's" true
+    (Trace.equal (Engine.run ~init desc ~mc ~inputs) trace);
+  if not (ratio < probe_ratio_bound) then
+    Alcotest.failf "removed probe costs %.3fx the never-instrumented engine (bound %.1f)" ratio
+      probe_ratio_bound
+
 let test_buffered_path_equals_frozen (bm : Spec.benchmark) () =
   let desc, mc, init = setup bm in
   let inputs = Traffic.phvs (Traffic.create ~seed:0xFA57 ~width:bm.Spec.bm_width ~bits:32) 50 in
@@ -248,4 +311,6 @@ let () =
           (fun (bm : Spec.benchmark) ->
             Alcotest.test_case bm.Spec.bm_name `Quick (test_buffered_path_equals_frozen bm))
           Spec.all );
+      ( "coverage probe, removed",
+        [ Alcotest.test_case "sampling, unopt interpreter" `Quick test_removed_probe_is_free ] );
     ]

@@ -176,6 +176,9 @@ let test_submission_rejects () =
   bad {|{"kind":"picnic"}|} "kind";
   bad {|[1,2,3]|} "object";
   bad {|{"kind":"campaign","files":{"../evil":"x"}}|} "unsafe file name";
+  bad {|{"kind":"campaign","chaos_kill_after":0,"chaos_kill_file":"/home/someone/.ssh/authorized_keys"}|}
+    "unsafe file name";
+  bad {|{"kind":"campaign","chaos_kill_after":0,"chaos_kill_file":"../x"}|} "unsafe file name";
   bad {|{"kind":"directed"}|} "witnesses";
   bad {|{"kind":"directed","witnesses":"druzhba-witnesses/1","files":{"witnesses.txt":"x"}}|}
     "witnesses.txt"
