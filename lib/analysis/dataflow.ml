@@ -74,15 +74,24 @@ let abs_unop bits (op : Ir.unop) a =
    at the datapath width. *)
 let clamp bits lo hi = if lo >= 0 && hi <= Value.max_value bits then Iv (lo, hi) else full bits
 
-(* Native-int overflow guard for abstract multiplication. *)
+(* Native-int overflow guards for abstract arithmetic.  A wrapped bound
+   would pass [clamp] as an inverted interval, and two 62-bit datapath
+   values already overflow a sum. *)
+let add_safe v = v > min_int / 2 && v < max_int / 2
 let mul_safe v = v > -0x4000_0000 && v < 0x4000_0000
 
 let rec abs_binop bits (op : Ir.binop) a b =
   match op with
   | Ir.Add -> (
-    match (a, b) with Iv (al, ah), Iv (bl, bh) -> clamp bits (al + bl) (ah + bh) | _ -> full bits)
+    match (a, b) with
+    | Iv (al, ah), Iv (bl, bh) when List.for_all add_safe [ al; ah; bl; bh ] ->
+      clamp bits (al + bl) (ah + bh)
+    | _ -> full bits)
   | Ir.Sub -> (
-    match (a, b) with Iv (al, ah), Iv (bl, bh) -> clamp bits (al - bh) (ah - bl) | _ -> full bits)
+    match (a, b) with
+    | Iv (al, ah), Iv (bl, bh) when List.for_all add_safe [ al; ah; bl; bh ] ->
+      clamp bits (al - bh) (ah - bl)
+    | _ -> full bits)
   | Ir.Mul -> (
     match (a, b) with
     | Iv (al, ah), Iv (bl, bh) when List.for_all mul_safe [ al; ah; bl; bh ] ->

@@ -59,8 +59,11 @@ let create (compiled : Compile.t) =
    into row s+1 of [nxt]. *)
 let exec_stage t (cs : Compile.compiled_stage) s =
   let width = t.width in
-  Array.blit t.cur (s * width) t.phv_scratch 0 width;
-  let phv = t.phv_scratch in
+  let phv = t.phv_scratch and cur = t.cur and src = s * width in
+  (* a loop, not [Array.blit]: copying 1-5 containers costs less than the C call *)
+  for c = 0 to width - 1 do
+    phv.(c) <- cur.(src + c)
+  done;
   let args = t.args.(s) in
   let stateless = cs.Compile.cs_stateless and stateful = cs.Compile.cs_stateful in
   let nsl = Array.length stateless and nsf = Array.length stateful in

@@ -8,9 +8,19 @@
    are a compiler bug that the case study in §5.2 of the paper found twice;
    [validate] detects exactly that class. *)
 
-type t = (string, int) Hashtbl.t
+(* Keys compare with [String.equal] and hash with [String.hash], not with
+   the generic [Hashtbl]'s polymorphic [compare] and structural hash, which
+   {!find} would pay on every lookup. *)
+module Table = Hashtbl.Make (struct
+  type t = string
 
-let empty () : t = Hashtbl.create 64
+  let equal = String.equal
+  let hash = String.hash
+end)
+
+type t = int Table.t
+
+let empty () : t = Table.create 64
 
 (* A name is representable iff emitting it with [to_string] and reading the
    result back with [parse] recovers the same binding.  The text format
@@ -33,11 +43,11 @@ let check_name name =
          name)
 
 let of_list pairs : t =
-  let t = Hashtbl.create (max 16 (List.length pairs)) in
+  let t = Table.create (max 16 (List.length pairs)) in
   List.iter
     (fun (name, v) ->
       check_name name;
-      Hashtbl.replace t name v)
+      Table.replace t name v)
     pairs;
   t
 
@@ -71,35 +81,37 @@ let of_pairs pairs : (t, string) result =
            (String.concat ", " dups)))
 
 let to_alist (t : t) =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []
+  Table.fold (fun k v acc -> (k, v) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let copy = Hashtbl.copy
+let copy = Table.copy
 
 let set (t : t) name v =
   check_name name;
-  Hashtbl.replace t name v
+  Table.replace t name v
 
-let find_opt (t : t) name = Hashtbl.find_opt t name
+let find_opt (t : t) name = Table.find_opt t name
 
 exception Missing of string
 
-(* [Hashtbl.find] rather than [find_opt]: this is the per-Mc-node lookup of
-   the unoptimized descriptions' hot loop, and the option wrapper would be a
-   fresh block on every call. *)
+(* The per-[Mc] lookup of the unoptimized descriptions' hot loop, in the
+   interpreter and the closure backend alike: the paper's version-1 cost of
+   reading machine code as variables at run time, one string hash and one
+   bucket walk per evaluation.  [Table.find] rather than [find_opt], because
+   the option wrapper would be a fresh block on every call. *)
 let find (t : t) name =
-  match Hashtbl.find t name with v -> v | exception Not_found -> raise (Missing name)
+  match Table.find t name with v -> v | exception Not_found -> raise (Missing name)
 
-let remove (t : t) name = Hashtbl.remove t name
+let remove (t : t) name = Table.remove t name
 
-let mem (t : t) name = Hashtbl.mem t name
+let mem (t : t) name = Table.mem t name
 
-let cardinal (t : t) = Hashtbl.length t
+let cardinal (t : t) = Table.length t
 
 (* Adds every pair of [extra], overriding existing names. *)
 let override (t : t) (extra : t) =
   let r = copy t in
-  Hashtbl.iter (fun k v -> Hashtbl.replace r k v) extra;
+  Table.iter (fun k v -> Table.replace r k v) extra;
   r
 
 (* --- Text format ---------------------------------------------------------

@@ -7,10 +7,16 @@
    Compilation time is excluded from the benchmark timers, exactly as the
    paper excludes rustc time from its Table 1 measurements.
 
+   Like rustc, the translation settles each operator once: every [Unop] and
+   [Binop] node becomes a closure specialized to its operator, which calls
+   the operator's {!Value} function directly, and a comparison that decides
+   a [Cond] or [If] yields the branch's bool with no 0/1 in between.
+   Nothing dispatches on an operator at run time.
+
    The cost model this preserves:
-   - version 1 closures still perform one machine-code hash-table lookup per
-     [Mc] node per evaluation (the paper's "machine code treated as variables
-     at runtime");
+   - version 1 closures still perform one machine-code lookup per [Mc] node
+     per evaluation, hashing the pair's name each time (the paper's "machine
+     code treated as variables at runtime");
    - version 2 closures have those lookups compiled away (SCC propagation);
    - version 3 differs from version 2 only by helper-call overhead, which is
      small once code is compiled — matching the paper's observation that
@@ -26,7 +32,7 @@ module Machine_code = Druzhba_machine_code.Machine_code
    [state]. *)
 type cenv = {
   mutable phv : int array;
-  mutable state : int array;
+  state : int array;
   state_read : int array;
   locals : int array;
   (* Early-return slot: [Return] stores here and raises the constant
@@ -37,11 +43,9 @@ type cenv = {
 
 exception Return_signal
 
-(* A compiled helper takes its evaluated arguments. *)
+(* A compiled output mux reads its data parameters, by position, from the
+   stage's argument array. *)
 type helper_fn = int array -> int
-
-type alu_fn = cenv:cenv -> int
-(* Runs the ALU body against [cenv] (mutating state), returning the output. *)
 
 type compiled_alu = {
   ca_name : string;
@@ -63,6 +67,36 @@ type t = {
   c_stages : compiled_stage array;
 }
 
+(* --- Operator table -------------------------------------------------------- *)
+
+(* One closure per operator over compiled operands of any environment:
+   output-mux bodies run on an argument array, ALU bodies on a [cenv].
+   Each calls its {!Value} function, the only definition of the operator's
+   arithmetic.  The right operand runs first, as it does in the
+   interpreter's [apply_binop bits op (eval a) (eval b)], so a program
+   missing two pairs raises the same [Machine_code.Missing] name on every
+   executor. *)
+let unop bits (op : Ir.unop) (ca : 'e -> int) : 'e -> int =
+  match op with
+  | Ir.Neg -> fun env -> Value.neg bits (ca env)
+  | Ir.Not -> fun env -> Value.logical_not (ca env)
+
+let binop bits (op : Ir.binop) (ca : 'e -> int) (cb : 'e -> int) : 'e -> int =
+  match op with
+  | Ir.Add -> fun env -> let b = cb env in Value.add bits (ca env) b
+  | Ir.Sub -> fun env -> let b = cb env in Value.sub bits (ca env) b
+  | Ir.Mul -> fun env -> let b = cb env in Value.mul bits (ca env) b
+  | Ir.Div -> fun env -> let b = cb env in Value.div bits (ca env) b
+  | Ir.Mod -> fun env -> let b = cb env in Value.rem bits (ca env) b
+  | Ir.Eq -> fun env -> let b = cb env in Value.eq (ca env) b
+  | Ir.Neq -> fun env -> let b = cb env in Value.neq (ca env) b
+  | Ir.Lt -> fun env -> let b = cb env in Value.lt (ca env) b
+  | Ir.Gt -> fun env -> let b = cb env in Value.gt (ca env) b
+  | Ir.Le -> fun env -> let b = cb env in Value.le (ca env) b
+  | Ir.Ge -> fun env -> let b = cb env in Value.ge (ca env) b
+  | Ir.And -> fun env -> let b = cb env in Value.logical_and (ca env) b
+  | Ir.Or -> fun env -> let b = cb env in Value.logical_or (ca env) b
+
 (* --- Expression compilation ------------------------------------------------ *)
 
 let index_of name names =
@@ -72,44 +106,22 @@ let index_of name names =
   in
   go 0 names
 
-(* Compiles a helper body: variables resolve to positions in the argument
-   array.  dgen helper bodies are call-free; we check rather than assume. *)
-let rec compile_helper_expr bits mc params (e : Ir.expr) : helper_fn =
-  match e with
-  | Ir.Const n -> fun _ -> n
-  | Ir.Var v ->
-    let i = index_of v params in
-    fun args -> Array.unsafe_get args i
-  | Ir.Mc name -> fun _ -> Machine_code.find mc name
-  | Ir.Trunc a ->
-    let ca = compile_helper_expr bits mc params a in
-    fun args -> Value.mask bits (ca args)
-  | Ir.Phv _ | Ir.State _ -> invalid_arg "Compile: helper bodies cannot access PHV or state"
-  | Ir.Call _ -> invalid_arg "Compile: nested helper calls are not generated by dgen"
-  | Ir.Unop (op, a) ->
-    let ca = compile_helper_expr bits mc params a in
-    let f = Interp.apply_unop bits op in
-    fun args -> f (ca args)
-  | Ir.Binop (op, a, b) ->
-    let ca = compile_helper_expr bits mc params a in
-    let cb = compile_helper_expr bits mc params b in
-    let f = Interp.apply_binop bits op in
-    fun args -> f (ca args) (cb args)
-  | Ir.Cond (c, a, b) ->
-    let cc = compile_helper_expr bits mc params c in
-    let ca = compile_helper_expr bits mc params a in
-    let cb = compile_helper_expr bits mc params b in
-    fun args -> if Value.is_true (cc args) then ca args else cb args
-
-let compile_helper bits mc (h : Ir.helper) : helper_fn =
-  compile_helper_expr bits mc h.Ir.h_params h.Ir.h_body
+(* Where a body runs, which decides what its free names read.  An output
+   mux runs on the stage's argument array and reads its data parameters in
+   place; dgen helper bodies are call-free and never touch PHV or state, and
+   we check rather than assume.  An ALU runs on its [cenv], reads its locals
+   by slot, and beta-reduces its helper calls. *)
+type _ body =
+  | Mux : string list -> int array body (* the helper's parameters *)
+  | Alu : (string, Ir.helper) Hashtbl.t * string list -> cenv body (* helpers, locals *)
 
 (* Number of occurrences of variable [x] in an expression. *)
 let occurrences x e =
   Ir.fold_expr (fun n e -> match e with Ir.Var v when String.equal v x -> n + 1 | _ -> n) 0 e
 
-(* Compiles an ALU-body expression.  Variables resolve first to per-call-site
-   cells (multi-use helper parameters), then to the ALU's local slots.
+(* Compiles an expression.  Variables resolve first to per-call-site
+   [cells] (multi-use helper parameters, innermost first, and an output
+   mux's control), then through [body].
 
    Helper calls are beta-reduced at compile time, mirroring the paper's
    setting where rustc aggressively inlines the tiny generated helper
@@ -121,64 +133,120 @@ let occurrences x e =
    conditional chain) are bound to a call-site cell rather than substituted,
    so an [Mc] argument still costs one hash lookup per call, not one per
    use. *)
-let rec compile_expr bits mc helpers cells locals (e : Ir.expr) : cenv -> int =
+let rec compile_expr : type e.
+    Value.width -> Machine_code.t -> e body -> (string * int ref) list -> Ir.expr -> e -> int =
+ fun bits mc body cells e ->
   match e with
   | Ir.Const n -> fun _ -> n
   | Ir.Var v -> (
-    match List.assoc_opt v cells with
-    | Some cell -> fun _ -> !cell
-    | None ->
+    match (List.assoc_opt v cells, body) with
+    | Some cell, _ -> fun _ -> !cell
+    | None, Mux params ->
+      let i = index_of v params in
+      fun args -> Array.unsafe_get args i
+    | None, Alu (_, locals) ->
       let i = index_of v locals in
       fun env -> Array.unsafe_get env.locals i)
   | Ir.Mc name -> fun _ -> Machine_code.find mc name
   | Ir.Trunc a ->
-    let ca = compile_expr bits mc helpers cells locals a in
+    let ca = compile_expr bits mc body cells a in
     fun env -> Value.mask bits (ca env)
-  | Ir.Phv k -> fun env -> Array.unsafe_get env.phv k
-  | Ir.State k -> fun env -> Array.unsafe_get env.state_read k
-  | Ir.Unop (op, a) ->
-    let ca = compile_expr bits mc helpers cells locals a in
-    let f = Interp.apply_unop bits op in
-    fun env -> f (ca env)
+  | Ir.Phv k -> (
+    match body with
+    | Alu _ -> fun env -> Array.unsafe_get env.phv k
+    | Mux _ -> invalid_arg "Compile: helper bodies cannot access PHV or state")
+  | Ir.State k -> (
+    match body with
+    | Alu _ -> fun env -> Array.unsafe_get env.state_read k
+    | Mux _ -> invalid_arg "Compile: helper bodies cannot access PHV or state")
+  | Ir.Unop (op, a) -> unop bits op (compile_expr bits mc body cells a)
   | Ir.Binop (op, a, b) ->
-    let ca = compile_expr bits mc helpers cells locals a in
-    let cb = compile_expr bits mc helpers cells locals b in
-    let f = Interp.apply_binop bits op in
-    fun env -> f (ca env) (cb env)
+    let ca = compile_expr bits mc body cells a in
+    let cb = compile_expr bits mc body cells b in
+    binop bits op ca cb
   | Ir.Cond (c, a, b) ->
-    let cc = compile_expr bits mc helpers cells locals c in
-    let ca = compile_expr bits mc helpers cells locals a in
-    let cb = compile_expr bits mc helpers cells locals b in
-    fun env -> if Value.is_true (cc env) then ca env else cb env
-  | Ir.Call (name, args) ->
-    let h : Ir.helper =
-      match Hashtbl.find_opt helpers name with
-      | Some h -> h
-      | None -> invalid_arg (Printf.sprintf "Compile: unknown helper '%s'" name)
-    in
-    let pairs = List.combine h.Ir.h_params args in
-    let single, multi =
-      List.partition (fun (p, _) -> occurrences p h.Ir.h_body <= 1) pairs
-    in
-    let body = Ir.subst_vars single h.Ir.h_body in
-    let site_cells = List.map (fun (p, _) -> (p, ref 0)) multi in
-    let writes =
-      List.map2
-        (fun (_, cell) (_, arg) -> (cell, compile_expr bits mc helpers cells locals arg))
-        site_cells multi
-      |> Array.of_list
-    in
-    let cbody = compile_expr bits mc helpers (site_cells @ cells) locals body in
-    if Array.length writes = 0 then cbody
-    else
-      fun env ->
-        (* explicit loop: an [Array.iter] closure would capture [env] and
-           allocate on every evaluation *)
-        for i = 0 to Array.length writes - 1 do
-          let cell, carg = Array.unsafe_get writes i in
-          cell := carg env
-        done;
-        cbody env
+    let cc = compile_cond bits mc body cells c in
+    let ca = compile_expr bits mc body cells a in
+    let cb = compile_expr bits mc body cells b in
+    fun env -> if cc env then ca env else cb env
+  | Ir.Call (name, args) -> (
+    match body with
+    | Alu (helpers, _) -> compile_call bits mc body helpers cells name args
+    | Mux _ -> invalid_arg "Compile: nested helper calls are not generated by dgen")
+
+(* Compiles a [Cond] or [If] condition to [Value.is_true] of its value.  A
+   comparison yields the bool the [Value] comparison would encode as 0/1.
+   [e = const] and [cell = const] have cases of their own: unoptimized
+   selector chains ([if ctrl == 0 then ... else if ctrl == 1 ...]) are built
+   from them. *)
+and compile_cond : type e.
+    Value.width -> Machine_code.t -> e body -> (string * int ref) list -> Ir.expr -> e -> bool =
+ fun bits mc body cells e ->
+  let operands a b =
+    (* [a] first: a tuple would compile [b] first and change which unbound
+       name compilation reports *)
+    let ca = compile_expr bits mc body cells a in
+    (ca, compile_expr bits mc body cells b)
+  in
+  match e with
+  | Ir.Binop (Ir.Eq, Ir.Var v, Ir.Const k) when List.mem_assoc v cells ->
+    let cell = List.assoc v cells in
+    fun _ -> !cell = k
+  | Ir.Binop (Ir.Eq, a, Ir.Const k) ->
+    let ca = compile_expr bits mc body cells a in
+    fun env -> ca env = k
+  | Ir.Binop (Ir.Eq, a, b) ->
+    let ca, cb = operands a b in
+    fun env -> let b = cb env in ca env = b
+  | Ir.Binop (Ir.Neq, a, b) ->
+    let ca, cb = operands a b in
+    fun env -> let b = cb env in ca env <> b
+  | Ir.Binop (Ir.Lt, a, b) ->
+    let ca, cb = operands a b in
+    fun env -> let b = cb env in ca env < b
+  | Ir.Binop (Ir.Gt, a, b) ->
+    let ca, cb = operands a b in
+    fun env -> let b = cb env in ca env > b
+  | Ir.Binop (Ir.Le, a, b) ->
+    let ca, cb = operands a b in
+    fun env -> let b = cb env in ca env <= b
+  | Ir.Binop (Ir.Ge, a, b) ->
+    let ca, cb = operands a b in
+    fun env -> let b = cb env in ca env >= b
+  | _ ->
+    let ce = compile_expr bits mc body cells e in
+    fun env -> Value.is_true (ce env)
+
+and compile_call :
+    Value.width -> Machine_code.t -> cenv body -> (string, Ir.helper) Hashtbl.t ->
+    (string * int ref) list -> string -> Ir.expr list -> cenv -> int =
+ fun bits mc body helpers cells name args ->
+  let h : Ir.helper =
+    match Hashtbl.find_opt helpers name with
+    | Some h -> h
+    | None -> invalid_arg (Printf.sprintf "Compile: unknown helper '%s'" name)
+  in
+  let pairs = List.combine h.Ir.h_params args in
+  let single, multi = List.partition (fun (p, _) -> occurrences p h.Ir.h_body <= 1) pairs in
+  let inlined = Ir.subst_vars single h.Ir.h_body in
+  let site_cells = List.map (fun (p, _) -> (p, ref 0)) multi in
+  let writes =
+    List.map2
+      (fun (_, cell) (_, arg) -> (cell, compile_expr bits mc body cells arg))
+      site_cells multi
+    |> Array.of_list
+  in
+  let cbody = compile_expr bits mc body (site_cells @ cells) inlined in
+  if Array.length writes = 0 then cbody
+  else
+    fun env ->
+      (* explicit loop: an [Array.iter] closure would capture [env] and
+         allocate on every evaluation *)
+      for i = 0 to Array.length writes - 1 do
+        let cell, carg = Array.unsafe_get writes i in
+        cell := carg env
+      done;
+      cbody env
 
 (* Collects the [Let]-bound names of a body, in order, to lay out the locals
    scratch array. *)
@@ -191,27 +259,27 @@ let rec local_names acc (stmts : Ir.stmt list) =
       | Ir.If (_, a, b) -> local_names (local_names acc a) b)
     acc stmts
 
-let compile_stmts bits mc helpers locals (stmts : Ir.stmt list) : (cenv -> unit) array =
+let compile_stmts bits mc body locals (stmts : Ir.stmt list) : (cenv -> unit) array =
   let rec compile_one (s : Ir.stmt) : cenv -> unit =
     match s with
     | Ir.Let (x, e) ->
       let i = index_of x locals in
-      let ce = compile_expr bits mc helpers [] locals e in
+      let ce = compile_expr bits mc body [] e in
       fun env -> env.locals.(i) <- ce env
     | Ir.Store (k, e) ->
-      let ce = compile_expr bits mc helpers [] locals e in
+      let ce = compile_expr bits mc body [] e in
       fun env -> env.state.(k) <- ce env
     | Ir.Return e ->
-      let ce = compile_expr bits mc helpers [] locals e in
+      let ce = compile_expr bits mc body [] e in
       fun env ->
         env.ret <- ce env;
         raise_notrace Return_signal
     | Ir.If (c, a, b) ->
-      let cc = compile_expr bits mc helpers [] locals c in
+      let cc = compile_cond bits mc body [] c in
       let ca = Array.of_list (List.map compile_one a) in
       let cb = Array.of_list (List.map compile_one b) in
       fun env ->
-        let branch = if Value.is_true (cc env) then ca else cb in
+        let branch = if cc env then ca else cb in
         for i = 0 to Array.length branch - 1 do
           (Array.unsafe_get branch i) env
         done
@@ -220,8 +288,9 @@ let compile_stmts bits mc helpers locals (stmts : Ir.stmt list) : (cenv -> unit)
 
 let compile_alu bits mc helpers (a : Ir.alu) : compiled_alu =
   let locals = List.rev (local_names [] a.Ir.a_body) in
-  let body = compile_stmts bits mc helpers locals a.Ir.a_body in
-  let default = compile_expr bits mc helpers [] locals a.Ir.a_default_output in
+  let body = Alu (helpers, locals) in
+  let stmts = compile_stmts bits mc body locals a.Ir.a_body in
+  let default = compile_expr bits mc body [] a.Ir.a_default_output in
   let n_state = max 1 a.Ir.a_state_size in
   let env =
     {
@@ -232,19 +301,37 @@ let compile_alu bits mc helpers (a : Ir.alu) : compiled_alu =
       ret = 0;
     }
   in
-  let n_body = Array.length body in
+  let state = env.state and state_read = env.state_read in
+  let n_stmts = Array.length stmts in
   let run () =
-    Array.blit env.state 0 env.state_read 0 n_state;
+    (* a loop, not [Array.blit]: latching 1-5 slots costs less than the C call *)
+    for k = 0 to n_state - 1 do
+      Array.unsafe_set state_read k (Array.unsafe_get state k)
+    done;
     let d = default env in
     match
-      for i = 0 to n_body - 1 do
-        (Array.unsafe_get body i) env
+      for i = 0 to n_stmts - 1 do
+        (Array.unsafe_get stmts i) env
       done
     with
     | () -> d
     | exception Return_signal -> env.ret
   in
   { ca_name = a.Ir.a_name; ca_state_size = a.Ir.a_state_size; ca_env = env; ca_run = run }
+
+(* Compiles output mux [name], whose helper is [h].  In version 1 its
+   "ctrl" parameter takes the mux's machine-code pair, fetched at every tick
+   like the interpreter does, through a call-site cell. *)
+let compile_mux bits mc name (h : Ir.helper) : helper_fn =
+  let body = Mux h.Ir.h_params in
+  if List.mem "ctrl" h.Ir.h_params then begin
+    let ctrl = ref 0 in
+    let f = compile_expr bits mc body [ ("ctrl", ctrl) ] h.Ir.h_body in
+    fun args ->
+      ctrl := Machine_code.find mc name;
+      f args
+  end
+  else compile_expr bits mc body [] h.Ir.h_body
 
 (* Compiles a description against a machine-code program.  The result is
    self-contained: per-ALU state lives inside the compiled ALUs. *)
@@ -259,21 +346,7 @@ let compile (d : Ir.t) ~mc : t =
           cs_stateful = Array.map (compile_alu bits mc helpers) st.Ir.s_stateful;
           cs_output_muxes =
             Array.map
-              (fun name ->
-                let h = Ir.find_helper d name in
-                if List.mem "ctrl" h.Ir.h_params then begin
-                  (* version 1: fetch the mux control from machine code at
-                     every tick, like the interpreter does *)
-                  let data_params = List.filter (fun p -> p <> "ctrl") h.Ir.h_params in
-                  let f = compile_helper bits mc h in
-                  let n = List.length data_params in
-                  let full = Array.make (n + 1) 0 in
-                  fun args ->
-                    Array.blit args 0 full 0 n;
-                    full.(n) <- Machine_code.find mc name;
-                    f full
-                end
-                else compile_helper bits mc h)
+              (fun name -> compile_mux bits mc name (Ir.find_helper d name))
               st.Ir.s_output_muxes;
         })
       d.Ir.d_stages

@@ -380,6 +380,26 @@ let test_lazy_missing_pair () =
       Names.input_mux ~alu_prefix:(Names.stateful_alu ~stage:0 ~alu:0) ~operand:0;
     ]
 
+(* Operands run right to left on the interpreter and the closures alike, so
+   a program missing two pairs names the same one on both: an arithmetic
+   operator, and a comparison the closures fuse into their branch. *)
+let test_lazy_missing_operands () =
+  let missing op = Ir.Binop (op, Ir.Mc "left_absent", Ir.Mc "right_absent") in
+  List.iter
+    (fun (what, body) ->
+      let desc, mc = with_stateful_body body in
+      let raised run =
+        match run () with () -> None | exception Machine_code.Missing name -> Some name
+      in
+      let engine = raised (fun () -> run_fresh desc ~mc [ 1 ]) in
+      let closures = raised (fun () -> ignore (Compiled.run desc ~mc ~inputs:[ [| 1 |] ])) in
+      Alcotest.(check (option string)) (what ^ ": interpreter") (Some "right_absent") engine;
+      Alcotest.(check (option string)) (what ^ ": closures") engine closures)
+    [
+      ("binop", [ Ir.Store (0, missing Ir.Add) ]);
+      ("fused comparison", [ Ir.If (missing Ir.Lt, [ Ir.Store (0, Ir.Const 1) ], []) ]);
+    ]
+
 let test_lazy_unknown_helper () =
   let desc, mc = with_stateful_body (on_seven [ Ir.Return (Ir.Call ("no_such_helper", [])) ]) in
   run_fresh desc ~mc [ 1; 2; 3 ];
@@ -746,6 +766,7 @@ let () =
       ( "lazy errors",
         [
           Alcotest.test_case "missing pair: raises at run" `Quick test_lazy_missing_pair;
+          Alcotest.test_case "two missing operands: same name" `Quick test_lazy_missing_operands;
           Alcotest.test_case "unknown helper: raises if reached" `Quick test_lazy_unknown_helper;
           Alcotest.test_case "unbound var: raises if reached" `Quick test_lazy_unbound_variable;
           Alcotest.test_case "arity mismatch: List.fold_left2" `Quick test_lazy_arity_mismatch;

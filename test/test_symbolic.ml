@@ -1,4 +1,5 @@
 (* Tests for translation validation: the symbolic evaluator ({!Symbolic}),
+   checked with the closure compiler ({!Compile}) against the interpreter,
    the equivalence engine ({!Equiv}), the per-pass optimizer snapshots
    ({!Optimizer.apply_staged}), the compiled-artifact vet ({!Vet}), and the
    truncated-immediate lint rule. *)
@@ -9,6 +10,7 @@ module Machine_code = Druzhba_machine_code.Machine_code
 module Atoms = Druzhba_atoms.Atoms
 module Ir = Druzhba_pipeline.Ir
 module Interp = Druzhba_pipeline.Interp
+module Compile = Druzhba_pipeline.Compile
 module Dgen = Druzhba_pipeline.Dgen
 module Emit = Druzhba_pipeline.Emit
 module Optimizer = Druzhba_optimizer.Optimizer
@@ -23,7 +25,7 @@ module Testing = Druzhba_compiler.Testing
 module Vet = Druzhba_compiler.Vet
 module Spec = Druzhba_spec.Spec
 
-(* --- QCheck: the symbolic evaluator agrees with the interpreter ------------- *)
+(* --- QCheck: the symbolic evaluator and the closures agree with Interp ----- *)
 
 (* Random well-formed [Ir.expr] over the atoms the normal form quantifies:
    containers, state slots, constants (including control-space constants
@@ -32,10 +34,15 @@ module Spec = Druzhba_spec.Spec
    obligations below. *)
 let gen_expr bits : Ir.expr QCheck.Gen.t =
   let open QCheck.Gen in
+  (* up to twice the datapath range; past 60 bits that would pass
+     [max_int], the widest constant there is *)
+  let const_bound =
+    if Value.max_value bits > (max_int - 3) / 2 then max_int else (2 * Value.max_value bits) + 3
+  in
   let leaf =
     oneof
       [
-        map (fun n -> Ir.Const n) (int_bound ((2 * Value.max_value bits) + 3));
+        map (fun n -> Ir.Const n) (int_bound const_bound);
         map (fun k -> Ir.Phv k) (int_bound 3);
         map (fun k -> Ir.State k) (int_bound 3);
       ]
@@ -73,6 +80,84 @@ let print_case (e, phv, state) =
     Fmt.(Dump.array int)
     state
 
+(* [e] as an output-mux body: container k becomes parameter "p<k>" and state
+   slot k "s<k>", except container 3, which becomes the mux's machine-code
+   control. *)
+let rec as_mux_body (e : Ir.expr) : Ir.expr =
+  match e with
+  | Ir.Phv 3 -> Ir.Var "ctrl"
+  | Ir.Phv k -> Ir.Var (Printf.sprintf "p%d" k)
+  | Ir.State k -> Ir.Var (Printf.sprintf "s%d" k)
+  | Ir.Const _ | Ir.Var _ | Ir.Mc _ -> e
+  | Ir.Trunc a -> Ir.Trunc (as_mux_body a)
+  | Ir.Unop (op, a) -> Ir.Unop (op, as_mux_body a)
+  | Ir.Binop (op, a, b) -> Ir.Binop (op, as_mux_body a, as_mux_body b)
+  | Ir.Cond (c, a, b) -> Ir.Cond (as_mux_body c, as_mux_body a, as_mux_body b)
+  | Ir.Call (f, args) -> Ir.Call (f, List.map as_mux_body args)
+
+(* What the closure compiler computes for [e], and what it must compute,
+   with [e] compiled three ways: as an ALU's [Return]; as an [If] condition
+   (the fused path; 1 when the branch is taken), alone and compared with
+   its own value and the next, where a wrongly fused comparison shows; and
+   as an output-mux body behind a test of the mux's machine-code control
+   (the [cell = const] case). *)
+let closure_evals bits e ~phv ~state ~expected =
+  let mc = Machine_code.of_list [ ("mux", phv.(3)) ] in
+  let alu body =
+    let c =
+      Compile.compile_alu bits mc (Hashtbl.create 0)
+        {
+          Ir.a_name = "alu";
+          a_kind = Ir.Kstateful;
+          a_state_size = 4;
+          a_body = body;
+          a_default_output = Ir.Const 0;
+        }
+    in
+    Array.blit state 0 c.Compile.ca_env.Compile.state 0 4;
+    c.Compile.ca_env.Compile.phv <- phv;
+    c.Compile.ca_run ()
+  in
+  let taken c = alu [ Ir.If (c, [ Ir.Return (Ir.Const 1) ], [ Ir.Return (Ir.Const 0) ]) ] in
+  let mux body =
+    let h =
+      {
+        Ir.h_name = "mux";
+        h_params = [ "p0"; "p1"; "p2"; "s0"; "s1"; "s2"; "s3"; "ctrl" ];
+        h_body = body;
+        h_ctrl = None;
+      }
+    in
+    Compile.compile_mux bits mc "mux" h
+      [| phv.(0); phv.(1); phv.(2); state.(0); state.(1); state.(2); state.(3) |]
+  in
+  let fused =
+    List.concat_map
+      (fun op ->
+        List.concat_map
+          (fun v ->
+            [
+              ( Fmt.str "If (e %a %d)" Ir.pp_binop op v,
+                taken (Ir.Binop (op, e, Ir.Const v)),
+                Interp.apply_binop bits op expected v );
+              ( Fmt.str "If (%d %a e)" v Ir.pp_binop op,
+                taken (Ir.Binop (op, Ir.Const v, e)),
+                Interp.apply_binop bits op v expected );
+            ])
+          [ expected; expected + 1 ])
+      [ Ir.Eq; Ir.Neq; Ir.Lt; Ir.Gt; Ir.Le; Ir.Ge ]
+  in
+  let ctrl_is k = Ir.Binop (Ir.Eq, Ir.Var "ctrl", Ir.Const k) and body = as_mux_body e in
+  [
+    ("Return", alu [ Ir.Return e ], expected);
+    ("If", taken e, Value.of_bool (Value.is_true expected));
+    ("output mux", mux (Ir.Cond (ctrl_is phv.(3), body, Ir.Const 0)), expected);
+    ("output mux, other control", mux (Ir.Cond (ctrl_is (phv.(3) + 1), Ir.Const 0, body)), expected);
+  ]
+  @ fused
+
+(* Three evaluators of one random expression: the interpreter (the
+   reference), the symbolic normal form, and the closure compiler. *)
 let qcheck_eval_agrees bits =
   QCheck.Test.make
     ~name:(Printf.sprintf "symbolic eval agrees with Interp at %d bits" bits)
@@ -82,6 +167,11 @@ let qcheck_eval_agrees bits =
       let helpers = Hashtbl.create 0 in
       let ctx = Interp.create ~bits ~mc:(Machine_code.of_list []) helpers in
       let expected = Interp.eval ctx ~phv ~state (Interp.resolve_expr ctx [] e) in
+      List.iter
+        (fun (how, got, want) ->
+          if got <> want then
+            QCheck.Test.fail_reportf "closures as %s compute %d, interpreter says %d" how got want)
+        (closure_evals bits e ~phv ~state ~expected);
       let env =
         Symbolic.env_of ~bits ~helpers
           ~phv:(fun k -> Symbolic.Phv k)
@@ -309,7 +399,7 @@ let () =
     [
       ( "qcheck",
         List.map QCheck_alcotest.to_alcotest
-          [ qcheck_eval_agrees 4; qcheck_eval_agrees 8; qcheck_eval_agrees 10 ] );
+          [ qcheck_eval_agrees 4; qcheck_eval_agrees 8; qcheck_eval_agrees 10; qcheck_eval_agrees 62 ] );
       ( "equiv",
         [
           Alcotest.test_case "Table-1 levels proved" `Quick test_table1_proved;
