@@ -99,6 +99,24 @@ let parse_mc_file path =
   | Ok mc -> mc
   | Error e -> usage_error "%s: %s" path e
 
+(* Machine code from [path] that lacks a pair [desc] requires is refused
+   before anything reads it, naming every missing pair.  Out-of-range
+   selectors are not refused: they run, taking a mux's default arm, and
+   [lint] reports them. *)
+let require_pairs path desc mc =
+  let missing =
+    match Machine_code.validate ~domains:(Ir.control_domains desc) mc with
+    | Ok () -> []
+    | Error violations ->
+      List.filter_map
+        (function Machine_code.Missing_pair name -> Some name | Machine_code.Out_of_range _ -> None)
+        violations
+  in
+  if missing <> [] then
+    usage_error "%s: missing machine-code pair%s: %s" path
+      (if List.length missing = 1 then "" else "s")
+      (String.concat ", " missing)
+
 (* --- dgen ------------------------------------------------------------------------ *)
 
 let dgen_cmd =
@@ -112,7 +130,11 @@ let dgen_cmd =
         (* no machine code given: optimize against a random program *)
         let mc = Fuzz.random_mc (Prng.create seed) desc in
         Optimizer.apply ~level ~mc desc
-      | Some path, level -> Optimizer.apply ~level ~mc:(parse_mc_file path) desc
+      | Some path, level ->
+        let mc = parse_mc_file path in
+        (* the unoptimized description reads no machine code *)
+        if level <> Optimizer.Unoptimized then require_pairs path desc mc;
+        Optimizer.apply ~level ~mc desc
     in
     print_string (Emit.to_string optimized);
     Printf.printf "\n(* %d IR nodes, %d helpers, %d machine-code controls *)\n"
@@ -132,12 +154,14 @@ let dgen_cmd =
 let dsim_cmd =
   let run depth width bits stateful stateless mc_file level seed phvs show_all =
     let stateful = resolve_alu stateful and stateless = resolve_alu stateless in
+    let desc = Dgen.generate (Dgen.config ~depth ~width ~bits ()) ~stateful ~stateless in
     let mc =
       match mc_file with
-      | Some path -> parse_mc_file path
-      | None ->
-        let desc = Dgen.generate (Dgen.config ~depth ~width ~bits ()) ~stateful ~stateless in
-        Fuzz.random_mc (Prng.create (seed + 1)) desc
+      | Some path ->
+        let mc = parse_mc_file path in
+        require_pairs path desc mc;
+        mc
+      | None -> Fuzz.random_mc (Prng.create (seed + 1)) desc
     in
     let { sim_trace; _ } =
       simulate ~level ~bits ~seed ~depth ~width ~stateful ~stateless ~mc ~phvs ()

@@ -55,6 +55,13 @@ let create (compiled : Compile.t) =
     tick = 0;
   }
 
+(* Points [alu] at this engine's stage-input scratch.  After the first tick
+   the binding already holds, and the physical-equality test skips the
+   store, with its write barrier, that would otherwise run for every ALU on
+   every tick; another engine over the same [Compile.t] still rebinds. *)
+let bind_phv (alu : Compile.compiled_alu) phv =
+  if alu.Compile.ca_env.Compile.phv != phv then alu.Compile.ca_env.Compile.phv <- phv
+
 (* Executes stage [s] on the PHV in row s of [cur], writing the outgoing PHV
    into row s+1 of [nxt]. *)
 let exec_stage t (cs : Compile.compiled_stage) s =
@@ -69,12 +76,12 @@ let exec_stage t (cs : Compile.compiled_stage) s =
   let nsl = Array.length stateless and nsf = Array.length stateful in
   for i = 0 to nsl - 1 do
     let alu = Array.unsafe_get stateless i in
-    alu.Compile.ca_env.Compile.phv <- phv;
+    bind_phv alu phv;
     args.(i) <- alu.Compile.ca_run ()
   done;
   for j = 0 to nsf - 1 do
     let alu = Array.unsafe_get stateful j in
-    alu.Compile.ca_env.Compile.phv <- phv;
+    bind_phv alu phv;
     args.(nsl + j) <- alu.Compile.ca_run ()
   done;
   (* post-execution state_0 ("write half"), selectable by the muxes *)

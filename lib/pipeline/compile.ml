@@ -11,12 +11,16 @@
    [Binop] node becomes a closure specialized to its operator, which calls
    the operator's {!Value} function directly, and a comparison that decides
    a [Cond] or [If] yields the branch's bool with no 0/1 in between.
-   Nothing dispatches on an operator at run time.
+   Nothing dispatches on an operator at run time.  And as LLVM lowers an
+   if-chain over one integer, a selector chain on a call-site cell becomes
+   one bounds check and an array of arms.
 
    The cost model this preserves:
    - version 1 closures still perform one machine-code lookup per [Mc] node
-     per evaluation, hashing the pair's name each time (the paper's "machine
-     code treated as variables at runtime");
+     per evaluation, hashing the pair's whole name and comparing the key
+     each time (the paper's "machine code treated as variables at
+     runtime"); a helper argument that reads machine code is read once per
+     call, by value, as in the interpreter and the paper's Rust;
    - version 2 closures have those lookups compiled away (SCC propagation);
    - version 3 differs from version 2 only by helper-call overhead, which is
      small once code is compiled — matching the paper's observation that
@@ -97,6 +101,24 @@ let binop bits (op : Ir.binop) (ca : 'e -> int) (cb : 'e -> int) : 'e -> int =
   | Ir.And -> fun env -> let b = cb env in Value.logical_and (ca env) b
   | Ir.Or -> fun env -> let b = cb env in Value.logical_or (ca env) b
 
+(* [binop] on two call-site cells, read in place rather than through a
+   closure each: the opcode helpers' [op0 + op1], [op0 >= op1], ... *)
+let binop_cells bits (op : Ir.binop) (a : int ref) (b : int ref) : 'e -> int =
+  match op with
+  | Ir.Add -> fun _ -> Value.add bits !a !b
+  | Ir.Sub -> fun _ -> Value.sub bits !a !b
+  | Ir.Mul -> fun _ -> Value.mul bits !a !b
+  | Ir.Div -> fun _ -> Value.div bits !a !b
+  | Ir.Mod -> fun _ -> Value.rem bits !a !b
+  | Ir.Eq -> fun _ -> Value.eq !a !b
+  | Ir.Neq -> fun _ -> Value.neq !a !b
+  | Ir.Lt -> fun _ -> Value.lt !a !b
+  | Ir.Gt -> fun _ -> Value.gt !a !b
+  | Ir.Le -> fun _ -> Value.le !a !b
+  | Ir.Ge -> fun _ -> Value.ge !a !b
+  | Ir.And -> fun _ -> Value.logical_and !a !b
+  | Ir.Or -> fun _ -> Value.logical_or !a !b
+
 (* --- Expression compilation ------------------------------------------------ *)
 
 let index_of name names =
@@ -119,20 +141,50 @@ type _ body =
 let occurrences x e =
   Ir.fold_expr (fun n e -> match e with Ir.Var v when String.equal v x -> n + 1 | _ -> n) 0 e
 
+(* An argument whose evaluation cannot raise: it reads no machine code
+   and calls no helper. *)
+let pure e =
+  Ir.fold_expr (fun ok e -> ok && match e with Ir.Mc _ | Ir.Call _ -> false | _ -> true) true e
+
+(* The call-site cell [e] reads, if it is one. *)
+let cell_of cells (e : Ir.expr) = match e with Ir.Var v -> List.assoc_opt v cells | _ -> None
+
+(* A selector chain on variable [v], [if v = 0 then a0 else if v = 1 then
+   a1 ... else d], as its arms [a0; a1; ...] and its default [d]: the shape
+   of every unoptimized mux, opcode and output-mux body. *)
+let rec selector_arms v i acc (e : Ir.expr) =
+  match e with
+  | Ir.Cond (Ir.Binop (Ir.Eq, Ir.Var v', Ir.Const k), a, rest) when String.equal v v' && k = i ->
+    selector_arms v (i + 1) (a :: acc) rest
+  | _ -> (List.rev acc, e)
+
+(* [e] as a switch: a selector chain of two or more arms on a call-site
+   cell, as the cell, the arms and the default. *)
+let switch cells (e : Ir.expr) =
+  match e with
+  | Ir.Cond (Ir.Binop (Ir.Eq, Ir.Var v, Ir.Const 0), _, _) -> (
+    match (List.assoc_opt v cells, selector_arms v 0 [] e) with
+    | Some cell, ((_ :: _ :: _ as arms), default) -> Some (cell, arms, default)
+    | _ -> None)
+  | _ -> None
+
 (* Compiles an expression.  Variables resolve first to per-call-site
-   [cells] (multi-use helper parameters, innermost first, and an output
-   mux's control), then through [body].
+   [cells] (helper parameters evaluated at the call, innermost first, and
+   an output mux's control), then through [body].
 
    Helper calls are beta-reduced at compile time, mirroring the paper's
    setting where rustc aggressively inlines the tiny generated helper
    functions — which is why explicit function inlining (version 3) shows no
    significant runtime gain over SCC propagation (version 2), exactly as the
    paper observes.  Faithfulness of the version-1 cost model is preserved by
-   evaluating every argument exactly once: parameters used more than once in
-   the helper body (e.g. the "ctrl" selector, consulted by each level of the
-   conditional chain) are bound to a call-site cell rather than substituted,
-   so an [Mc] argument still costs one hash lookup per call, not one per
-   use. *)
+   evaluating every argument exactly once: a parameter used more than once
+   in the helper body (e.g. the "ctrl" selector, consulted by each level of
+   the conditional chain), and every argument that reads machine code, is
+   bound to a call-site cell that the call fills in parameter order; only
+   a pure argument used at most once is substituted.  So an [Mc] argument
+   costs one hash lookup per call, not one per use, and a missing pair
+   raises [Machine_code.Missing] with the name the interpreter's
+   call-by-value raises, whatever the mux selects. *)
 let rec compile_expr : type e.
     Value.width -> Machine_code.t -> e body -> (string * int ref) list -> Ir.expr -> e -> int =
  fun bits mc body cells e ->
@@ -148,6 +200,7 @@ let rec compile_expr : type e.
       let i = index_of v locals in
       fun env -> Array.unsafe_get env.locals i)
   | Ir.Mc name -> fun _ -> Machine_code.find mc name
+  | Ir.Trunc (Ir.Mc name) -> fun _ -> Value.mask bits (Machine_code.find mc name)
   | Ir.Trunc a ->
     let ca = compile_expr bits mc body cells a in
     fun env -> Value.mask bits (ca env)
@@ -160,15 +213,28 @@ let rec compile_expr : type e.
     | Alu _ -> fun env -> Array.unsafe_get env.state_read k
     | Mux _ -> invalid_arg "Compile: helper bodies cannot access PHV or state")
   | Ir.Unop (op, a) -> unop bits op (compile_expr bits mc body cells a)
-  | Ir.Binop (op, a, b) ->
-    let ca = compile_expr bits mc body cells a in
-    let cb = compile_expr bits mc body cells b in
-    binop bits op ca cb
-  | Ir.Cond (c, a, b) ->
-    let cc = compile_cond bits mc body cells c in
-    let ca = compile_expr bits mc body cells a in
-    let cb = compile_expr bits mc body cells b in
-    fun env -> if cc env then ca env else cb env
+  | Ir.Binop (op, a, b) -> (
+    match (cell_of cells a, cell_of cells b) with
+    | Some ca, Some cb -> binop_cells bits op ca cb
+    | _ ->
+      let ca = compile_expr bits mc body cells a in
+      let cb = compile_expr bits mc body cells b in
+      binop bits op ca cb)
+  | Ir.Cond (c, a, b) -> (
+    match switch cells e with
+    | Some (cell, arms, default) ->
+      let arms = Array.of_list (List.map (compile_expr bits mc body cells) arms) in
+      let cd = compile_expr bits mc body cells default in
+      let n = Array.length arms in
+      (* a value outside [0, n), negative ones included, takes the default *)
+      fun env ->
+        let sel = !cell in
+        if sel >= 0 && sel < n then (Array.unsafe_get arms sel) env else cd env
+    | None ->
+      let cc = compile_cond bits mc body cells c in
+      let ca = compile_expr bits mc body cells a in
+      let cb = compile_expr bits mc body cells b in
+      fun env -> if cc env then ca env else cb env)
   | Ir.Call (name, args) -> (
     match body with
     | Alu (helpers, _) -> compile_call bits mc body helpers cells name args
@@ -176,9 +242,10 @@ let rec compile_expr : type e.
 
 (* Compiles a [Cond] or [If] condition to [Value.is_true] of its value.  A
    comparison yields the bool the [Value] comparison would encode as 0/1.
-   [e = const] and [cell = const] have cases of their own: unoptimized
-   selector chains ([if ctrl == 0 then ... else if ctrl == 1 ...]) are built
-   from them. *)
+   A bare cell, [e = const] and [cell = const] have cases of their own: the
+   unoptimized Opt helper tests its bare control, and selector chains too
+   short to switch on ([if ctrl == 0 then ... else ...]) are built from
+   the others. *)
 and compile_cond : type e.
     Value.width -> Machine_code.t -> e body -> (string * int ref) list -> Ir.expr -> e -> bool =
  fun bits mc body cells e ->
@@ -189,6 +256,9 @@ and compile_cond : type e.
     (ca, compile_expr bits mc body cells b)
   in
   match e with
+  | Ir.Var v when List.mem_assoc v cells ->
+    let cell = List.assoc v cells in
+    fun _ -> Value.is_true !cell
   | Ir.Binop (Ir.Eq, Ir.Var v, Ir.Const k) when List.mem_assoc v cells ->
     let cell = List.assoc v cells in
     fun _ -> !cell = k
@@ -227,18 +297,37 @@ and compile_call :
     | None -> invalid_arg (Printf.sprintf "Compile: unknown helper '%s'" name)
   in
   let pairs = List.combine h.Ir.h_params args in
-  let single, multi = List.partition (fun (p, _) -> occurrences p h.Ir.h_body <= 1) pairs in
+  let single, eager =
+    List.partition (fun (p, arg) -> occurrences p h.Ir.h_body <= 1 && pure arg) pairs
+  in
   let inlined = Ir.subst_vars single h.Ir.h_body in
-  let site_cells = List.map (fun (p, _) -> (p, ref 0)) multi in
+  let site_cells = List.map (fun (p, _) -> (p, ref 0)) eager in
   let writes =
     List.map2
       (fun (_, cell) (_, arg) -> (cell, compile_expr bits mc body cells arg))
-      site_cells multi
+      site_cells eager
     |> Array.of_list
   in
   let cbody = compile_expr bits mc body (site_cells @ cells) inlined in
-  if Array.length writes = 0 then cbody
-  else
+  (* straight-line writes for the usual one to three cells *)
+  match writes with
+  | [||] -> cbody
+  | [| (c1, a1) |] ->
+    fun env ->
+      c1 := a1 env;
+      cbody env
+  | [| (c1, a1); (c2, a2) |] ->
+    fun env ->
+      c1 := a1 env;
+      c2 := a2 env;
+      cbody env
+  | [| (c1, a1); (c2, a2); (c3, a3) |] ->
+    fun env ->
+      c1 := a1 env;
+      c2 := a2 env;
+      c3 := a3 env;
+      cbody env
+  | _ ->
     fun env ->
       (* explicit loop: an [Array.iter] closure would capture [env] and
          allocate on every evaluation *)

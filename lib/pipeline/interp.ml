@@ -9,11 +9,12 @@
    control.  Frames live on one int stack per context that grows only when
    a deeper frame is first needed, so a steady-state tick allocates nothing.
 
-   A tick then costs the resolved nodes it walks plus one machine-code hash
-   lookup per [Mc] use (and per output-mux control) — the runtime lookups
-   of the paper's version 1, which SCC propagation removes and inlining
-   shortens further, so the relative runtimes of the three optimization
-   levels keep the shape of the paper's Table 1.
+   A tick then costs the resolved nodes it walks plus one machine-code
+   lookup per [Mc] use (and per output-mux control), each hashing the
+   pair's whole name and comparing the key in {!Machine_code}'s table —
+   the runtime lookups of the paper's version 1, which SCC propagation
+   removes and inlining shortens further, so the relative runtimes of the
+   three optimization levels keep the shape of the paper's Table 1.
 
    Resolution never fails.  An unknown helper, an unbound variable, a
    missing machine-code pair or an arity mismatch raises when a tick

@@ -400,6 +400,71 @@ let test_lazy_missing_operands () =
       ("fused comparison", [ Ir.If (missing Ir.Lt, [ Ir.Store (0, Ir.Const 1) ], []) ]);
     ]
 
+(* Helper arguments are evaluated by value, in parameter order, on the
+   interpreter and the closures alike: without a pair, both fail with the
+   same [Missing] name, or both run to the same trace, whatever its muxes
+   select. *)
+let outcome run =
+  match run () with
+  | (trace : Trace.t) -> Ok (trace.Trace.outputs, trace.Trace.final_state)
+  | exception Machine_code.Missing name -> Error name
+
+let executors_agree what desc mc =
+  let inputs = Traffic.phvs (Traffic.create ~seed:11 ~width:desc.Ir.d_width ~bits:8) 6 in
+  let engine = outcome (fun () -> Engine.run desc ~mc ~inputs) in
+  let closures = outcome (fun () -> Compiled.run desc ~mc ~inputs) in
+  let show = function Ok _ -> "ran" | Error name -> "Missing " ^ name in
+  if engine <> closures then
+    Alcotest.failf "%s: interpreter %s, closures %s" what (show engine) (show closures);
+  engine
+
+let gen_pair ~depth ~width stateful stateless =
+  Dgen.generate
+    (Dgen.config ~depth ~width ~bits:8 ())
+    ~stateful:(Atoms.find_exn stateful) ~stateless:(Atoms.find_exn stateless)
+
+let test_lazy_missing_arguments () =
+  let shapes =
+    List.concat_map
+      (fun (sf, _) -> List.map (fun (sl, _) -> (1, 1, sf, sl)) Atoms.stateless_atoms)
+      Atoms.stateful_atoms
+    @ [ (2, 2, "pred_raw", "stateless_full") ]
+  in
+  List.iter
+    (fun (depth, width, sf, sl) ->
+      let desc = gen_pair ~depth ~width sf sl in
+      let mc = Fuzz.random_mc (Prng.create 3) desc in
+      List.iter
+        (fun name ->
+          let mc = Machine_code.copy mc in
+          Machine_code.remove mc name;
+          let what = Printf.sprintf "%dx%d %s/%s without %s" depth width sf sl name in
+          ignore (executors_agree what desc mc))
+        (Ir.required_names desc))
+    shapes;
+  (* a constant the mux does not select is still an argument, and it comes
+     before the mux's own control *)
+  let desc = gen_pair ~depth:1 ~width:1 "if_else_raw" "stateless_arith" in
+  let base = Fuzz.random_mc (Prng.create 3) desc in
+  List.iter
+    (fun (alu, mux) ->
+      let const = alu ^ "_const_0" and sel = alu ^ "_" ^ mux in
+      List.iter
+        (fun (what, edit) ->
+          let mc = Machine_code.copy base in
+          Machine_code.remove mc const;
+          edit mc;
+          Alcotest.(check (result reject string))
+            (Printf.sprintf "%s without %s, %s" alu const what)
+            (Error const)
+            (executors_agree what desc mc))
+        [ ("mux selects another operand", fun mc -> Machine_code.set mc sel 0);
+          ("mux control missing too", fun mc -> Machine_code.remove mc sel) ])
+    [
+      (Names.stateless_alu ~stage:0 ~alu:0, "mux2_0");
+      (Names.stateful_alu ~stage:0 ~alu:0, "mux3_0");
+    ]
+
 let test_lazy_unknown_helper () =
   let desc, mc = with_stateful_body (on_seven [ Ir.Return (Ir.Call ("no_such_helper", [])) ]) in
   run_fresh desc ~mc [ 1; 2; 3 ];
@@ -767,6 +832,8 @@ let () =
         [
           Alcotest.test_case "missing pair: raises at run" `Quick test_lazy_missing_pair;
           Alcotest.test_case "two missing operands: same name" `Quick test_lazy_missing_operands;
+          Alcotest.test_case "missing arguments: same name or same trace" `Quick
+            test_lazy_missing_arguments;
           Alcotest.test_case "unknown helper: raises if reached" `Quick test_lazy_unknown_helper;
           Alcotest.test_case "unbound var: raises if reached" `Quick test_lazy_unbound_variable;
           Alcotest.test_case "arity mismatch: List.fold_left2" `Quick test_lazy_arity_mismatch;

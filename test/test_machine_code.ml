@@ -149,6 +149,111 @@ let test_of_pairs () =
     Alcotest.(check bool) "names a" true (contains ~sub:"a" e);
     Alcotest.(check bool) "names c once" true (contains ~sub:"c" e)
 
+(* --- Model-based property: the table against an association list ------ *)
+
+(* Names the hash must tell apart: every length from 1 to 80 (8 and 16
+   among them, where it moves from single bytes to whole words), over a
+   thousand names sharing the long prefix of real pair names, and, for a
+   few lengths, every name that differs from a base in exactly one byte. *)
+let name_pool st =
+  let letters = "abcdefghijklmnopqrstuvwxyz0123456789_" in
+  let random_name len =
+    String.init len (fun _ -> letters.[Random.State.int st (String.length letters)])
+  in
+  let base = List.init 80 (fun i -> random_name (i + 1)) in
+  let prefixed =
+    List.init 1200 (fun i ->
+        Printf.sprintf "pipeline_stage_%d_stateful_alu_%d_mux3_%d" (i / 40) (i / 8 mod 5) (i mod 8))
+  in
+  let one_byte_apart =
+    List.concat_map
+      (fun len ->
+        let b = List.nth base (len - 1) in
+        List.init len (fun p ->
+            String.mapi (fun i c -> if i <> p then c else if c = 'x' then 'y' else 'x') b))
+      [ 7; 8; 9; 16; 17; 80 ]
+  in
+  List.sort_uniq String.compare (base @ prefixed @ one_byte_apart) |> Array.of_list
+
+(* One random run of [ops] operations over [pool], checked after each one
+   against [model], an association list holding exactly the bound names.
+   It first binds the whole pool, which forces the table to grow, and ends
+   by removing every name and binding half of them again. *)
+let run_against_model st pool ~ops =
+  let t = ref (Machine_code.empty ()) and model = ref [] in
+  let pick () = pool.(Random.State.int st (Array.length pool)) in
+  let value () = Random.State.int st 2000 - 1000 in
+  let set name v =
+    Machine_code.set !t name v;
+    model := (name, v) :: List.remove_assoc name !model
+  in
+  let remove name =
+    Machine_code.remove !t name;
+    model := List.remove_assoc name !model
+  in
+  let check_name name =
+    let want = List.assoc_opt name !model in
+    Alcotest.(check (option int)) ("find_opt " ^ name) want (Machine_code.find_opt !t name);
+    Alcotest.(check bool) ("mem " ^ name) (want <> None) (Machine_code.mem !t name);
+    match Machine_code.find !t name with
+    | got -> Alcotest.(check (option int)) ("find " ^ name) want (Some got)
+    | exception Machine_code.Missing m ->
+      Alcotest.(check (option int)) ("find " ^ name) want None;
+      Alcotest.(check string) "Missing names the pair" name m
+  in
+  let check_all () =
+    Alcotest.(check int) "cardinal" (List.length !model) (Machine_code.cardinal !t);
+    Alcotest.(check (list (pair string int)))
+      "to_alist"
+      (List.sort compare !model)
+      (Machine_code.to_alist !t)
+  in
+  Array.iter (fun name -> set name (value ())) pool;
+  check_all ();
+  Array.iter check_name pool;
+  for _ = 1 to ops do
+    match Random.State.int st 100 with
+    | r when r < 35 -> set (pick ()) (value ())
+    | r when r < 55 -> remove (pick ())
+    | r when r < 85 -> check_name (pick ())
+    | r when r < 90 ->
+      (* a copy is independent of its original, both ways *)
+      let c = Machine_code.copy !t and name = pick () in
+      Machine_code.set c name (value ());
+      check_name name;
+      t := c;
+      model := (name, Machine_code.find c name) :: List.remove_assoc name !model
+    | r when r < 95 ->
+      (* a fresh table; both inputs stay as they were *)
+      let pairs = List.init (Random.State.int st 20) (fun _ -> (pick (), value ())) in
+      let base = !t and extra = Machine_code.of_list pairs in
+      let base_pairs = Machine_code.to_alist base and extra_pairs = Machine_code.to_alist extra in
+      t := Machine_code.override base extra;
+      Alcotest.(check (list (pair string int))) "base" base_pairs (Machine_code.to_alist base);
+      Alcotest.(check (list (pair string int))) "extra" extra_pairs (Machine_code.to_alist extra);
+      List.iter (fun (name, v) -> model := (name, v) :: List.remove_assoc name !model) extra_pairs
+    | r when r < 98 -> check_all ()
+    | _ ->
+      (* of_list: later bindings of a name win *)
+      let pairs = List.init (Random.State.int st 600) (fun _ -> (pick (), value ())) in
+      t := Machine_code.of_list pairs;
+      model := [];
+      List.iter (fun (name, v) -> model := (name, v) :: List.remove_assoc name !model) pairs
+  done;
+  check_all ();
+  Array.iter remove pool;
+  check_all ();
+  Array.iteri (fun i name -> if i mod 2 = 0 then set name (value ())) pool;
+  check_all ();
+  Array.iter check_name pool
+
+let qcheck_table_model =
+  QCheck.Test.make ~name:"table agrees with an association list" ~count:4 QCheck.small_nat
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      run_against_model st (name_pool st) ~ops:3000;
+      true)
+
 let () =
   Alcotest.run "machine_code"
     [
@@ -160,6 +265,7 @@ let () =
           Alcotest.test_case "to_alist sorted" `Quick test_to_alist_sorted;
           Alcotest.test_case "copy isolation" `Quick test_copy_isolated;
           Alcotest.test_case "override" `Quick test_override;
+          QCheck_alcotest.to_alcotest qcheck_table_model;
         ] );
       ( "text format",
         [

@@ -310,6 +310,41 @@ let prop_out_of_domain_selectors =
       let c3 = Compiled.run (Optimizer.apply ~level:Optimizer.Scc_inline ~mc desc) ~mc ~inputs in
       equal_traces t1 t2 && equal_traces t1 c3)
 
+(* Every selector at -1, at its bound n, and at n + 7, in unvalidated
+   machine code: each selector chain takes its default arm, on the
+   interpreter and the closures alike, at every optimization level. *)
+let test_selectors_outside_domain () =
+  List.iter
+    (fun stateful ->
+      let desc = gen ~depth:2 ~width:2 ~stateful () in
+      let inputs = Traffic.phvs (Traffic.create ~seed:9 ~width:2 ~bits:32) 25 in
+      List.iter
+        (fun (what, selector) ->
+          let prng = Prng.create 5 in
+          let mc = Machine_code.empty () in
+          List.iter
+            (fun (name, domain) ->
+              Machine_code.set mc name
+                (match (domain : Ir.control_domain) with
+                | Ir.Selector n -> selector n
+                | Ir.Immediate -> Prng.bits prng 32))
+            (Ir.control_domains desc);
+          let reference = Engine.run desc ~mc ~inputs in
+          List.iter
+            (fun level ->
+              let d = Optimizer.apply ~level ~mc desc in
+              let name executor =
+                Printf.sprintf "%s, selectors at %s: %s at %s" stateful what executor
+                  (Optimizer.level_name level)
+              in
+              Alcotest.(check bool) (name "interpreter") true
+                (equal_traces reference (Engine.run d ~mc ~inputs));
+              Alcotest.(check bool) (name "closures") true
+                (equal_traces reference (Compiled.run d ~mc ~inputs)))
+            [ Optimizer.Unoptimized; Optimizer.Scc; Optimizer.Scc_inline ])
+        [ ("-1", fun _ -> -1); ("n", fun n -> n); ("n + 7", fun n -> n + 7) ])
+    [ "raw"; "sub"; "pred_raw"; "if_else_raw"; "nested_ifs"; "pair" ]
+
 let prop_optimizer_equivalence =
   QCheck.Test.make ~name:"v1 = v2 = v3 on random machine code" ~count:60
     QCheck.(
@@ -454,6 +489,7 @@ let () =
           Alcotest.test_case "missing pair raises" `Quick test_scc_missing_pair_raises;
           Alcotest.test_case "equivalence across stateless alus" `Quick
             test_equivalence_all_stateless;
+          Alcotest.test_case "selectors at -1, n and n + 7" `Quick test_selectors_outside_domain;
         ]
         @ qsuite [ prop_optimizer_equivalence; prop_out_of_domain_selectors ] );
       ("emission", [ Alcotest.test_case "fig6 versions" `Quick test_emit_versions ]);

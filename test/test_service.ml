@@ -257,10 +257,18 @@ let test_cli_rejects_like_submissions () =
    (exit 2), never an uncaught exception (exit 125) or a run over nothing. *)
 let test_cli_rejects_bad_inputs () =
   let p4 = Filename.temp_file "druzhba-router" ".p4" in
+  (* machine code that lacks every pair but one output mux's *)
+  let partial = Filename.temp_file "druzhba-partial" ".mc" in
+  let pipeline =
+    [ "--depth=1"; "--width=1"; "--stateful-alu=if_else_raw"; "--stateless-alu=stateless_arith";
+      "--machine-code"; partial ]
+  in
   Fun.protect
-    ~finally:(fun () -> try Sys.remove p4 with Sys_error _ -> ())
+    ~finally:(fun () -> List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ p4; partial ])
     (fun () ->
       Out_channel.with_open_bin p4 (fun oc -> Out_channel.output_string oc Drmt_router.source);
+      Out_channel.with_open_bin partial (fun oc ->
+          Out_channel.output_string oc "pipeline_stage_0_output_mux_0 = 1\n");
       List.iter
         (fun (env, args) ->
           let what = String.concat " " (env @ args) in
@@ -282,6 +290,10 @@ let test_cli_rejects_bad_inputs () =
           ([], [ "drmt"; "--p4"; p4; "--processors=-2" ]);
           ([], [ "drmt"; "--p4"; p4; "--match-capacity=0" ]);
           ([], [ "drmt"; "--p4"; p4; "--action-capacity=-1" ]);
+          ([], "dsim" :: pipeline);
+          ([], "dsim" :: "--optimize=unoptimized" :: pipeline);
+          ([], "dgen" :: "--optimize=scc" :: pipeline);
+          ([], "dgen" :: "--optimize=scc-inline" :: pipeline);
         ])
 
 (* --- Checkpoint durability ---------------------------------------------------- *)

@@ -95,17 +95,43 @@ let rec as_mux_body (e : Ir.expr) : Ir.expr =
   | Ir.Cond (c, a, b) -> Ir.Cond (as_mux_body c, as_mux_body a, as_mux_body b)
   | Ir.Call (f, args) -> Ir.Call (f, List.map as_mux_body args)
 
+(* [e] as the body of a helper that an ALU calls, as the returned value
+   and the reference's: container k and state slot k become parameters
+   used by every arm that holds [e], so each one the expression reads is a
+   call-site cell.  The arms are the first three of a selector chain on a
+   control of -1 to 4, which takes the default 0 outside [0, 3). *)
+let helper_call e =
+  let body = as_mux_body e in
+  let h =
+    {
+      Ir.h_name = "h";
+      h_params = [ "p0"; "p1"; "p2"; "s0"; "s1"; "s2"; "s3"; "ctrl"; "sel" ];
+      h_body = Dgen.selector_chain (Ir.Var "sel") [ body; body; body; Ir.Const 0 ];
+      h_ctrl = None;
+    }
+  in
+  let helpers = Hashtbl.create 1 in
+  Hashtbl.replace helpers "h" h;
+  let m = Ir.Binop (Ir.Mod, Ir.Phv 3, Ir.Const 6) in
+  let sel = Ir.Cond (Ir.Binop (Ir.Eq, m, Ir.Const 5), Ir.Const (-1), m) in
+  let args =
+    [ Ir.Phv 0; Ir.Phv 1; Ir.Phv 2; Ir.State 0; Ir.State 1; Ir.State 2; Ir.State 3; Ir.Phv 3; sel ]
+  in
+  (helpers, Ir.Call ("h", args))
+
 (* What the closure compiler computes for [e], and what it must compute,
-   with [e] compiled three ways: as an ALU's [Return]; as an [If] condition
+   with [e] compiled four ways: as an ALU's [Return]; as an [If] condition
    (the fused path; 1 when the branch is taken), alone and compared with
-   its own value and the next, where a wrongly fused comparison shows; and
-   as an output-mux body behind a test of the mux's machine-code control
-   (the [cell = const] case). *)
-let closure_evals bits e ~phv ~state ~expected =
+   its own value and the next, where a wrongly fused comparison shows; as
+   an output-mux body behind a test of the mux's machine-code control (the
+   [cell = const] case); and as the body of a helper the ALU calls
+   ([call] on [helpers], from {!helper_call}), whose value [expected_call]
+   the interpreter gives. *)
+let closure_evals bits e ~phv ~state ~expected ~helpers ~call ~expected_call =
   let mc = Machine_code.of_list [ ("mux", phv.(3)) ] in
-  let alu body =
+  let alu ?(helpers = Hashtbl.create 0) body =
     let c =
-      Compile.compile_alu bits mc (Hashtbl.create 0)
+      Compile.compile_alu bits mc helpers
         {
           Ir.a_name = "alu";
           a_kind = Ir.Kstateful;
@@ -153,6 +179,7 @@ let closure_evals bits e ~phv ~state ~expected =
     ("If", taken e, Value.of_bool (Value.is_true expected));
     ("output mux", mux (Ir.Cond (ctrl_is phv.(3), body, Ir.Const 0)), expected);
     ("output mux, other control", mux (Ir.Cond (ctrl_is (phv.(3) + 1), Ir.Const 0, body)), expected);
+    ("helper call", alu ~helpers [ Ir.Return call ], expected_call);
   ]
   @ fused
 
@@ -164,14 +191,15 @@ let qcheck_eval_agrees bits =
     ~count:500
     (QCheck.make ~print:print_case (gen_case bits))
     (fun (e, phv, state) ->
-      let helpers = Hashtbl.create 0 in
+      let helpers, call = helper_call e in
       let ctx = Interp.create ~bits ~mc:(Machine_code.of_list []) helpers in
-      let expected = Interp.eval ctx ~phv ~state (Interp.resolve_expr ctx [] e) in
+      let eval e = Interp.eval ctx ~phv ~state (Interp.resolve_expr ctx [] e) in
+      let expected = eval e and expected_call = eval call in
       List.iter
         (fun (how, got, want) ->
           if got <> want then
             QCheck.Test.fail_reportf "closures as %s compute %d, interpreter says %d" how got want)
-        (closure_evals bits e ~phv ~state ~expected);
+        (closure_evals bits e ~phv ~state ~expected ~helpers ~call ~expected_call);
       let env =
         Symbolic.env_of ~bits ~helpers
           ~phv:(fun k -> Symbolic.Phv k)
