@@ -560,7 +560,7 @@ let run_directed path ~phvs ~seed ~report =
   (match report with
   | None -> ()
   | Some path ->
-    Campaign.Checkpoint.atomic_write_string path
+    Druzhba_util.Atomic_file.atomic_write_string path
       (Campaign.Report.to_string
          (Campaign.Report.Obj
             [
@@ -583,12 +583,6 @@ let campaign_cmd =
     match directed with
     | Some path -> run_directed path ~phvs ~seed ~report:out
     | None ->
-    if resume && checkpoint = None then usage_error "--resume requires --checkpoint FILE";
-    if corpus_dir <> None && not coverage then usage_error "--corpus requires --coverage";
-    if coverage && (checkpoint <> None || resume) then
-      usage_error "--coverage is incompatible with --checkpoint/--resume";
-    if sabotage_pass && (checkpoint <> None || resume) then
-      usage_error "--sabotage-pass is incompatible with --checkpoint/--resume";
     (* --trial-fuel is exact ticks; --trial-timeout converts seconds at the
        fixed nominal tick rate so the watchdog stays deterministic *)
     let fuel =
@@ -620,13 +614,13 @@ let campaign_cmd =
     in
     let cfg =
       try
-        let faults_cfg =
-          if faults then Some (Campaign.fault_config ~runs:fault_runs ~per_run:faults_per_run ())
-          else None
-        in
+        (* the fault counts are judged with --faults off too, as
+           [Campaign.config_of_json] judges them *)
+        let fc = Campaign.fault_config ~runs:fault_runs ~per_run:faults_per_run () in
         Campaign.config ~trials ~jobs:(resolve_jobs jobs) ~master_seed:seed ~substrate ~phvs
-          ~shrink:(not no_shrink) ~max_probes ?fuel ?max_failures ?faults:faults_cfg
-          ~checkpoint_every ~coverage ?corpus_dir ~sabotage_pass ?hook:chaos_hook ()
+          ~shrink:(not no_shrink) ~max_probes ?fuel ?max_failures
+          ?faults:(if faults then Some fc else None)
+          ~checkpoint_every ~coverage ?corpus_dir ~sabotage_pass ()
       with Invalid_argument msg -> usage_error "%s" msg
     in
     (* Graceful shutdown: SIGINT/SIGTERM cut the campaign at the next block
@@ -639,9 +633,9 @@ let campaign_cmd =
     match
       Campaign.run_resumable ?checkpoint ~resume ?stop_after
         ~should_stop:(fun () -> !interrupted)
-        cfg
+        ?hook:chaos_hook cfg
     with
-    | exception Campaign.Resume_error msg -> usage_error "%s" msg
+    | exception (Campaign.Resume_error msg | Invalid_argument msg) -> usage_error "%s" msg
     | None when !interrupted ->
       (match checkpoint with
       | Some path ->
@@ -655,7 +649,8 @@ let campaign_cmd =
         (Option.value checkpoint ~default:"FILE")
     | Some report ->
       (match out with
-      | Some path -> Campaign.Checkpoint.atomic_write_string path (Campaign.to_json report ^ "\n")
+      | Some path ->
+        Druzhba_util.Atomic_file.atomic_write_string path (Campaign.to_json report ^ "\n")
       | None -> ());
       if json then print_string (Campaign.to_json report ^ "\n")
       else Fmt.pr "%a@." Campaign.pp report;
@@ -675,17 +670,20 @@ let campaign_cmd =
      kills; --faults adds hardware fault injection.  The JSON report is byte-identical for a \
      fixed master seed regardless of --jobs."
   in
+  (* the library's defaults: a flag left out means what a key left out of
+     a `druzhba serve` submission means *)
+  let d = Campaign.config () and fd = Campaign.fault_config () in
   Cmd.v
     (Cmd.info "campaign" ~doc)
     Term.(
       const run
-      $ Arg.(value & opt int 100 & info [ "trials" ] ~docv:"N" ~doc:"Number of trials.")
+      $ Arg.(value & opt int d.c_trials & info [ "trials" ] ~docv:"N" ~doc:"Number of trials.")
       $ jobs_arg $ seed_arg
       $ Arg.(
           value
           & opt
               (enum (List.map (fun n -> (n, n)) Campaign.substrate_names))
-              "rmt"
+              d.c_substrate
           & info [ "substrate" ] ~docv:"FAMILY"
               ~doc:
                 "Substrate selection from the registry: $(b,rmt) (interpreter vs closure \
@@ -693,10 +691,10 @@ let campaign_cmd =
                  sequential P4 reference semantics), $(b,all) (trials alternate between the \
                  two), or $(b,native) (interpreter and closures vs the Dynlinked native-codegen \
                  artifact; degrades to an interpreted fallback without the OCaml toolchain).")
-      $ Arg.(value & opt int 100 & info [ "phvs" ] ~docv:"N" ~doc:"PHVs simulated per trial.")
+      $ Arg.(value & opt int d.c_phvs & info [ "phvs" ] ~docv:"N" ~doc:"PHVs simulated per trial.")
       $ Arg.(value & flag & info [ "no-shrink" ] ~doc:"Skip counterexample shrinking.")
       $ Arg.(
-          value & opt int 400
+          value & opt int d.c_max_probes
           & info [ "max-probes" ] ~docv:"N" ~doc:"Shrinking budget (oracle re-runs).")
       $ Arg.(
           value
@@ -723,10 +721,10 @@ let campaign_cmd =
                  stuck-at state slots and dropped PHVs; both substrates must agree under faults \
                  and fault-free replays must stay pristine.")
       $ Arg.(
-          value & opt int 8
+          value & opt int fd.fc_runs
           & info [ "fault-runs" ] ~docv:"N" ~doc:"Fault scenarios per trial (with --faults).")
       $ Arg.(
-          value & opt int 2
+          value & opt int fd.fc_per_run
           & info [ "faults-per-run" ] ~docv:"N" ~doc:"Faults drawn per scenario (with --faults).")
       $ Arg.(
           value
@@ -736,12 +734,13 @@ let campaign_cmd =
       $ Arg.(
           value & flag
           & info [ "resume" ]
-              ~doc:"Continue a killed campaign from --checkpoint; the final report is \
-                    byte-identical to an uninterrupted run.")
+              ~doc:"Continue a killed campaign from --checkpoint, under the same configuration \
+                    flags; the final report is byte-identical to an uninterrupted run.")
       $ Arg.(
-          value & opt int 64
+          value & opt int d.c_checkpoint_every
           & info [ "checkpoint-every" ] ~docv:"N"
-              ~doc:"Trials per execution block (checkpoint granularity).")
+              ~doc:"Trials per execution block (checkpoint granularity); a resume must use \
+                    the same value.")
       $ Arg.(
           value
           & opt (some int) None

@@ -83,8 +83,8 @@ type family = Rmt | Drmt | Native
    multi-member selection alternates members by trial index — deterministic
    in the index alone, so resume and any [--jobs] count see the same
    split.  Adding a backend family is one row here (plus its trial body);
-   the CLI, the service protocol, checkpoint signatures, and report
-   provenance all read this table. *)
+   the CLI, the config codec, and report provenance all read this
+   table. *)
 let registry : (string * family list) list =
   [ ("rmt", [ Rmt ]); ("drmt", [ Drmt ]); ("all", [ Rmt; Drmt ]); ("native", [ Native ]) ]
 
@@ -126,39 +126,30 @@ type config = {
       (* plant {!Sabotage}'s buggy optimizer pass in every RMT trial's
          oracle: the acceptance gate for coverage-guided mode (the trigger
          is provably unreachable by uniform-random machine code) *)
-  c_hook : (int -> unit) option; (* test-only: runs at trial start (chaos injection) *)
-  c_sabotage : (int -> bool) option;
-      (* test-only: dRMT trials for which this answers true run the
-         event-driven candidate with semantically mutated table entries, so
-         the oracle MUST report a divergence (end-to-end proof that an
-         injected bug is caught with a replayable seed) *)
 }
 
 let config ?(trials = 100) ?(jobs = 1) ?(master_seed = 0xD52ba) ?(substrate = "rmt")
     ?(phvs = 100) ?(shrink = true) ?(max_probes = 400) ?fuel ?max_failures ?faults
-    ?(checkpoint_every = 64) ?(coverage = false) ?corpus_dir ?(sabotage_pass = false) ?hook
-    ?sabotage () =
-  if trials <= 0 then invalid_arg "Campaign.config: trials must be positive";
-  if phvs <= 0 then invalid_arg "Campaign.config: phvs must be positive";
-  if max_probes <= 0 then invalid_arg "Campaign.config: max_probes must be positive";
-  (match fuel with
-  | Some f when f <= 0 -> invalid_arg "Campaign.config: fuel must be positive"
-  | _ -> ());
-  (match max_failures with
-  | Some m when m <= 0 -> invalid_arg "Campaign.config: max_failures must be positive"
-  | _ -> ());
+    ?(checkpoint_every = 64) ?(coverage = false) ?corpus_dir ?(sabotage_pass = false) () =
+  let positive what v =
+    if v <= 0 then invalid_arg (Printf.sprintf "Campaign.config: %s must be positive" what)
+  in
+  positive "trials" trials;
+  positive "phvs" phvs;
+  positive "max_probes" max_probes;
+  Option.iter (positive "fuel") fuel;
+  Option.iter (positive "max_failures") max_failures;
   if families_of_name substrate = None then
     invalid_arg
       (Printf.sprintf "Campaign.config: unknown substrate %S (expected one of %s)" substrate
          (String.concat ", " substrate_names));
-  if checkpoint_every <= 0 then invalid_arg "Campaign.config: checkpoint_every must be positive";
+  positive "checkpoint_every" checkpoint_every;
   if corpus_dir <> None && not coverage then
     invalid_arg "Campaign.config: corpus_dir requires coverage mode";
   { c_trials = trials; c_jobs = jobs; c_master_seed = master_seed; c_substrate = substrate;
     c_phvs = phvs; c_batch = 64; c_shrink = shrink; c_max_probes = max_probes; c_fuel = fuel;
     c_max_failures = max_failures; c_faults = faults; c_checkpoint_every = checkpoint_every;
-    c_coverage = coverage; c_corpus_dir = corpus_dir; c_sabotage_pass = sabotage_pass;
-    c_hook = hook; c_sabotage = sabotage }
+    c_coverage = coverage; c_corpus_dir = corpus_dir; c_sabotage_pass = sabotage_pass }
 
 (* Trials rotate through the selection's families by index — deterministic
    in the index alone, so resume and any job count see the same split
@@ -168,6 +159,108 @@ let family_of ~(cfg : config) index =
   match families_of_name cfg.c_substrate with
   | Some members -> List.nth members (index mod List.length members)
   | None -> invalid_arg (Printf.sprintf "Campaign.family_of: unknown substrate %S" cfg.c_substrate)
+
+(* --- The config codec ---------------------------------------------------------
+
+   The one spelling of a configuration that the others derive from: a
+   checkpoint stores [config_to_json] and resumes under no other, `druzhba
+   serve` reads a submission with [config_of_json] and starts its worker
+   with [config_to_argv], and the CLI's flags parse that argv back to the
+   same config.  Neither [c_jobs] nor [c_batch] is in it: neither changes a
+   result.  Keys come in a fixed order; a knob that is off is [null]. *)
+
+let config_to_json (c : config) : Report.json =
+  let opt f = function Some v -> f v | None -> Report.Null in
+  let int v = Report.Int v in
+  let fault f = opt (fun fc -> int (f fc)) c.c_faults in
+  Report.Obj
+    [
+      ("trials", int c.c_trials);
+      ("seed", int c.c_master_seed);
+      ("substrate", Report.Str c.c_substrate);
+      ("phvs", int c.c_phvs);
+      ("checkpoint_every", int c.c_checkpoint_every);
+      ("fuel", opt int c.c_fuel);
+      ("max_failures", opt int c.c_max_failures);
+      ("shrink", Report.Bool c.c_shrink);
+      ("max_probes", int c.c_max_probes);
+      ("faults", Report.Bool (c.c_faults <> None));
+      ("fault_runs", fault (fun fc -> fc.fc_runs));
+      ("faults_per_run", fault (fun fc -> fc.fc_per_run));
+      ("coverage", Report.Bool c.c_coverage);
+      ("corpus", opt (fun d -> Report.Str d) c.c_corpus_dir);
+      ("sabotage_pass", Report.Bool c.c_sabotage_pass);
+    ]
+
+let config_keys =
+  match config_to_json (config ()) with Report.Obj fields -> List.map fst fields | _ -> []
+
+(* Strict: an unknown key, a mistyped value or [null] for a knob that
+   cannot be off is an [Error]; a missing key takes [config]'s default, and
+   [config] and [fault_config] judge the values.  The fault counts are
+   judged even with [faults] off, as the CLI judges its flags. *)
+let config_of_json (j : Report.json) : (config, string) result =
+  let exception Mistyped of string in
+  match j with
+  | Report.Obj fields -> (
+    match List.find_opt (fun (k, _) -> not (List.mem k config_keys)) fields with
+    | Some (k, _) ->
+      Error (Printf.sprintf "unknown field %S (allowed: %s)" k (String.concat ", " config_keys))
+    | None -> (
+      let get ?(nullable = false) conv what key =
+        match List.assoc_opt key fields with
+        | None -> None
+        | Some Report.Null when nullable -> None
+        | Some v -> (
+          match conv v with
+          | Some _ as x -> x
+          | None -> raise (Mistyped (Printf.sprintf "field %S must be %s" key what)))
+      in
+      let int = get Report.to_int "an integer" and bool = get Report.to_bool "a boolean" in
+      let opt_int = get ~nullable:true Report.to_int "an integer or null" in
+      try
+        let fc = fault_config ?runs:(opt_int "fault_runs") ?per_run:(opt_int "faults_per_run") () in
+        Ok
+          (config ?trials:(int "trials") ?master_seed:(int "seed")
+             ?substrate:(get Report.to_str "a string" "substrate")
+             ?phvs:(int "phvs") ?checkpoint_every:(int "checkpoint_every") ?fuel:(opt_int "fuel")
+             ?max_failures:(opt_int "max_failures") ?shrink:(bool "shrink")
+             ?max_probes:(int "max_probes")
+             ?faults:(if bool "faults" = Some true then Some fc else None)
+             ?coverage:(bool "coverage")
+             ?corpus_dir:(get ~nullable:true Report.to_str "a string or null" "corpus")
+             ?sabotage_pass:(bool "sabotage_pass") ())
+      with Mistyped msg | Invalid_argument msg -> Error msg))
+  | _ -> Error "a campaign config must be a JSON object"
+
+(* The `druzhba campaign` flags that spell [c], every knob explicit. *)
+let config_to_argv (c : config) : string list =
+  let value flag v = [ Printf.sprintf "--%s=%s" flag v ] in
+  let int flag v = value flag (string_of_int v) in
+  let opt f = function Some v -> f v | None -> [] in
+  let switch flag on = if on then [ "--" ^ flag ] else [] in
+  int "trials" c.c_trials
+  @ int "seed" c.c_master_seed
+  @ value "substrate" c.c_substrate
+  @ int "phvs" c.c_phvs
+  @ int "checkpoint-every" c.c_checkpoint_every
+  @ opt (int "trial-fuel") c.c_fuel
+  @ opt (int "max-failures") c.c_max_failures
+  @ switch "no-shrink" (not c.c_shrink)
+  @ int "max-probes" c.c_max_probes
+  @ opt
+      (fun fc -> ("--faults" :: int "fault-runs" fc.fc_runs) @ int "faults-per-run" fc.fc_per_run)
+      c.c_faults
+  @ switch "coverage" c.c_coverage
+  @ opt (value "corpus") c.c_corpus_dir
+  @ switch "sabotage-pass" c.c_sabotage_pass
+
+(* Whether a campaign can be checkpointed and resumed.  Coverage mode
+   cannot: its coverage map and corpus are not in the checkpoint. *)
+let resumable (cfg : config) =
+  if cfg.c_coverage then
+    Error "Campaign.run_resumable: coverage mode is incompatible with checkpoint/resume"
+  else Ok ()
 
 (* Fault-mode verdict for one trial: how sensitive the program is to
    injected faults, whether the substrates stayed in lock-step under them,
@@ -595,8 +688,10 @@ let run_native_trial ~(cfg : config) ~seed ~prng ~fallback ~depth ~width ~bits ~
 (* The dRMT trial body: random chain program + entries, event-driven vs
    sequential oracle, input-only shrinking, input-path fault geometry.
    [entries_override] (coverage mode) installs a corpus mutant's entry list
-   instead of a fresh random draw. *)
-let run_drmt_trial ~(cfg : config) ~seed ~prng ~index ?entries_override ~tables ~processors
+   instead of a fresh random draw.  A [sabotaged] trial runs the
+   event-driven candidate with semantically mutated tables, so the oracle
+   must report a divergence. *)
+let run_drmt_trial ~(cfg : config) ~seed ~prng ~sabotaged ?entries_override ~tables ~processors
     ~n_entries () =
   let p = drmt_program ~tables in
   let entries =
@@ -606,7 +701,6 @@ let run_drmt_trial ~(cfg : config) ~seed ~prng ~index ?entries_override ~tables 
   in
   let traffic_seed = Prng.bits prng 30 in
   let sched_cfg = Scheduler.config ~processors () in
-  let sabotaged = match cfg.c_sabotage with Some f -> f index | None -> false in
   (* the reference always runs the pristine configuration; under sabotage
      the event-driven candidate gets semantically mutated tables *)
   let candidate_p = if sabotaged then sabotage_program p else p in
@@ -736,7 +830,11 @@ let trial_start ~snapshot ~(cfg : config) index =
     | None -> (seed, prng, Some Corpus.Fresh, draw_params family prng, `None)
   end
 
-let run_trial ?(snapshot = [||]) ~(cfg : config) index : trial * trial_extra option =
+(* [hook] and [sabotage] are test aids, called with the trial index: the
+   hook runs at trial start (chaos injection), and a dRMT trial for which
+   [sabotage] answers true is sabotaged (see [run_drmt_trial]). *)
+let run_trial ?(snapshot = [||]) ?hook ?sabotage ~(cfg : config) index :
+    trial * trial_extra option =
   (* backtrace recording is per-domain in OCaml 5, so arm it here (on
      whichever worker runs the trial) rather than once in [run] *)
   Printexc.record_backtrace true;
@@ -753,7 +851,7 @@ let run_trial ?(snapshot = [||]) ~(cfg : config) index : trial * trial_extra opt
      crash record with the trial seed attached (the seed alone replays the
      trial). *)
   match
-    (match cfg.c_hook with Some hook -> hook index | None -> ());
+    Option.iter (fun hook -> hook index) hook;
     match params with
     | Rmt_params { depth; width; bits; stateful; stateless } ->
       let mc_override = match override with `Rmt_mc mc -> Some mc | _ -> None in
@@ -761,7 +859,8 @@ let run_trial ?(snapshot = [||]) ~(cfg : config) index : trial * trial_extra opt
         ~stateless_name:stateless ()
     | Drmt_params { tables; processors; entries } ->
       let entries_override = match override with `Drmt_entries e -> Some e | _ -> None in
-      run_drmt_trial ~cfg ~seed ~prng ~index ?entries_override ~tables ~processors
+      let sabotaged = match sabotage with Some f -> f index | None -> false in
+      run_drmt_trial ~cfg ~seed ~prng ~sabotaged ?entries_override ~tables ~processors
         ~n_entries:entries ()
     | Native_params { depth; width; bits; stateful; stateless } ->
       run_native_trial ~cfg ~seed ~prng ~fallback ~depth ~width ~bits ~stateful_name:stateful
@@ -1070,20 +1169,6 @@ let trial_of_json j : trial =
 
 (* --- Checkpoint plumbing ---------------------------------------------------- *)
 
-let signature_of_config (cfg : config) : Checkpoint.signature =
-  {
-    Checkpoint.sg_substrate = cfg.c_substrate;
-    sg_master_seed = cfg.c_master_seed;
-    sg_trials = cfg.c_trials;
-    sg_phvs = cfg.c_phvs;
-    sg_shrink = cfg.c_shrink;
-    sg_max_probes = cfg.c_max_probes;
-    sg_fuel = Option.value cfg.c_fuel ~default:0;
-    sg_max_failures = Option.value cfg.c_max_failures ~default:0;
-    sg_fault_runs = (match cfg.c_faults with Some fc -> fc.fc_runs | None -> 0);
-    sg_faults_per_run = (match cfg.c_faults with Some fc -> fc.fc_per_run | None -> 0);
-  }
-
 (* A checkpoint record is the report's trial record plus the native
    fallback flag, which the report only counts in its notes. *)
 let checkpoint_record (t : trial) : Report.json =
@@ -1103,7 +1188,7 @@ let checkpoint_of ~(cfg : config) (results : trial option array) completed : Che
     | _ -> ()
   done;
   {
-    Checkpoint.ck_signature = signature_of_config cfg;
+    Checkpoint.ck_config = config_to_json cfg;
     ck_completed = (if completed > 0 then [ (0, completed - 1) ] else []);
     ck_records = !records;
   }
@@ -1158,16 +1243,11 @@ let native_plan ~snapshot ~(cfg : config) lo hi =
    durable checkpoint behind and loses nothing — resuming produces a report
    byte-identical to an uninterrupted run.  The caller distinguishes a
    graceful cut from [stop_after] by its own flag. *)
-let run_resumable ?checkpoint ?(resume = false) ?stop_after ?should_stop (cfg : config) :
-    report option =
-  (* Coverage and sabotage-pass modes are not part of the checkpoint
-     signature, so a resumed run could silently change semantics mid-stream;
-     refuse the combination outright. *)
-  if cfg.c_coverage && (checkpoint <> None || resume) then
-    invalid_arg "Campaign.run_resumable: coverage mode is incompatible with checkpoint/resume";
-  if cfg.c_sabotage_pass && (checkpoint <> None || resume) then
-    invalid_arg
-      "Campaign.run_resumable: sabotage-pass mode is incompatible with checkpoint/resume";
+let run_resumable ?checkpoint ?(resume = false) ?stop_after ?should_stop ?hook ?sabotage
+    (cfg : config) : report option =
+  if resume && checkpoint = None then
+    invalid_arg "Campaign.run_resumable: resume requires a checkpoint path";
+  (match resumable cfg with Error msg when checkpoint <> None -> invalid_arg msg | _ -> ());
   (* Native-family degradation is judged once, up front, on the main
      domain: a campaign may run degraded (closures standing in for the
      native artifact, with a note in the report), but a *checkpointed or
@@ -1206,34 +1286,35 @@ let run_resumable ?checkpoint ?(resume = false) ?stop_after ?should_stop (cfg : 
   let n = cfg.c_trials in
   let results : trial option array = Array.make (max 1 n) None in
   let start =
-    if not resume then 0
-    else
-      match checkpoint with
-      | None -> invalid_arg "Campaign.run_resumable: resume requires a checkpoint path"
-      | Some path -> (
-        match Checkpoint.load path with
-        | Error msg -> raise (Resume_error msg)
-        | Ok ck ->
-          if
-            not
-              (Checkpoint.signature_equal ck.Checkpoint.ck_signature (signature_of_config cfg))
-          then
-            rfail "%s: checkpoint signature does not match this campaign's configuration" path;
-          List.iter
-            (fun j ->
-              let t = trial_of_json j in
-              if t.t_index < 0 || t.t_index >= n then
-                rfail "checkpoint record index %d out of range" t.t_index;
-              results.(t.t_index) <- Some t)
-            ck.Checkpoint.ck_records;
-          (* the quiet majority is reconstructed, not stored *)
-          List.iter
-            (fun (lo, hi) ->
-              for i = lo to min (n - 1) hi do
-                if results.(i) = None then results.(i) <- Some (default_trial ~cfg i)
-              done)
-            ck.Checkpoint.ck_completed;
-          min n (Checkpoint.completed_prefix ck))
+    match checkpoint with
+    | Some path when resume -> (
+      match Checkpoint.load path with
+      | Error msg -> raise (Resume_error msg)
+      | Ok ck ->
+        let stored = ck.Checkpoint.ck_config and current = config_to_json cfg in
+        if stored <> current then begin
+          let differs k = Report.member k stored <> Report.member k current in
+          rfail "%s: checkpoint config differs from this campaign's%s" path
+            (match List.filter differs config_keys with
+            | [] -> ""
+            | keys -> " in " ^ String.concat ", " keys)
+        end;
+        List.iter
+          (fun j ->
+            let t = trial_of_json j in
+            if t.t_index < 0 || t.t_index >= n then
+              rfail "checkpoint record index %d out of range" t.t_index;
+            results.(t.t_index) <- Some t)
+          ck.Checkpoint.ck_records;
+        (* the quiet majority is reconstructed, not stored *)
+        List.iter
+          (fun (lo, hi) ->
+            for i = lo to min (n - 1) hi do
+              if results.(i) = None then results.(i) <- Some (default_trial ~cfg i)
+            done)
+          ck.Checkpoint.ck_completed;
+        min n (Checkpoint.completed_prefix ck))
+    | _ -> 0
   in
   let failures = ref 0 and stopped_after = ref None in
   (* Breaker accounting scans completed trials in index order — the Nth
@@ -1272,7 +1353,7 @@ let run_resumable ?checkpoint ?(resume = false) ?stop_after ?should_stop (cfg : 
       Native_substrate.build_all ~jobs:cfg.c_jobs (native_plan ~snapshot:snap ~cfg base hi);
     let chunk =
       Runner.parallel_init ~jobs:cfg.c_jobs (hi - base) (fun k ->
-          run_trial ~snapshot:snap ~cfg (base + k))
+          run_trial ~snapshot:snap ?hook ?sabotage ~cfg (base + k))
     in
     Array.iteri (fun k (t, _) -> results.(base + k) <- Some t) chunk;
     if cfg.c_coverage then begin
@@ -1372,8 +1453,8 @@ let run_resumable ?checkpoint ?(resume = false) ?stop_after ?should_stop (cfg : 
 (* Simple entry point: no checkpointing, runs to completion (or to the
    circuit breaker).  [run_resumable] only returns [None] under
    [stop_after], which this path never passes. *)
-let run (cfg : config) : report =
-  match run_resumable cfg with Some r -> r | None -> assert false
+let run ?hook ?sabotage (cfg : config) : report =
+  match run_resumable ?hook ?sabotage cfg with Some r -> r | None -> assert false
 
 (* --- Rendering ------------------------------------------------------------- *)
 

@@ -121,21 +121,29 @@ let binop_cells bits (op : Ir.binop) (a : int ref) (b : int ref) : 'e -> int =
 
 (* --- Expression compilation ------------------------------------------------ *)
 
+(* The position of [name] among [names], the last one when it repeats: of
+   two parameters sharing a name, the last binds, as in the interpreter. *)
 let index_of name names =
-  let rec go i = function
-    | [] -> invalid_arg (Printf.sprintf "Compile: unbound variable '%s'" name)
-    | n :: rest -> if String.equal n name then i else go (i + 1) rest
+  let rec go i found = function
+    | [] -> found
+    | n :: rest -> go (i + 1) (if String.equal n name then Some i else found) rest
   in
-  go 0 names
+  go 0 None names
+
+(* Every error the interpreter raises when an evaluation reaches it, the
+   closures raise then too, with the same exception and text: a body that
+   never reaches its defect runs to the end on both. *)
+let raises exn : 'e -> int = fun _ -> raise exn
 
 (* Where a body runs, which decides what its free names read.  An output
    mux runs on the stage's argument array and reads its data parameters in
    place; dgen helper bodies are call-free and never touch PHV or state, and
-   we check rather than assume.  An ALU runs on its [cenv], reads its locals
-   by slot, and beta-reduces its helper calls. *)
+   we check rather than assume.  An ALU runs on its [cenv], reads the
+   locals in scope by slot, and beta-reduces its helper calls. *)
 type _ body =
   | Mux : string list -> int array body (* the helper's parameters *)
-  | Alu : (string, Ir.helper) Hashtbl.t * string list -> cenv body (* helpers, locals *)
+  | Alu : (string, Ir.helper) Hashtbl.t * (string * int) list -> cenv body
+      (* helpers; locals in scope, innermost first, with their slots *)
 
 (* Number of occurrences of variable [x] in an expression. *)
 let occurrences x e =
@@ -193,12 +201,14 @@ let rec compile_expr : type e.
   | Ir.Var v -> (
     match (List.assoc_opt v cells, body) with
     | Some cell, _ -> fun _ -> !cell
-    | None, Mux params ->
-      let i = index_of v params in
-      fun args -> Array.unsafe_get args i
-    | None, Alu (_, locals) ->
-      let i = index_of v locals in
-      fun env -> Array.unsafe_get env.locals i)
+    | None, Mux params -> (
+      match index_of v params with
+      | Some i -> fun args -> Array.unsafe_get args i
+      | None -> raises (Interp.Unbound_variable v))
+    | None, Alu (_, scope) -> (
+      match List.assoc_opt v scope with
+      | Some i -> fun env -> Array.unsafe_get env.locals i
+      | None -> raises (Interp.Unbound_variable v)))
   | Ir.Mc name -> fun _ -> Machine_code.find mc name
   | Ir.Trunc (Ir.Mc name) -> fun _ -> Value.mask bits (Machine_code.find mc name)
   | Ir.Trunc a ->
@@ -291,22 +301,50 @@ and compile_call :
     Value.width -> Machine_code.t -> cenv body -> (string, Ir.helper) Hashtbl.t ->
     (string * int ref) list -> string -> Ir.expr list -> cenv -> int =
  fun bits mc body helpers cells name args ->
-  let h : Ir.helper =
-    match Hashtbl.find_opt helpers name with
-    | Some h -> h
-    | None -> invalid_arg (Printf.sprintf "Compile: unknown helper '%s'" name)
+  match Hashtbl.find_opt helpers name with
+  | None -> raises (Invalid_argument (Printf.sprintf "Interp: unknown helper '%s'" name))
+  | Some h when List.compare_lengths h.Ir.h_params args <> 0 ->
+    (* the arguments before the mismatch run first, in order *)
+    let before = List.filteri (fun i _ -> i < List.length h.Ir.h_params) args in
+    let evaluated = List.map (compile_expr bits mc body cells) before in
+    fun env ->
+      List.iter (fun carg -> ignore (carg env)) evaluated;
+      invalid_arg "List.fold_left2"
+  | Some h -> compile_known_call bits mc body cells h args
+
+and compile_known_call :
+    Value.width -> Machine_code.t -> cenv body -> (string * int ref) list -> Ir.helper ->
+    Ir.expr list -> cenv -> int =
+ fun bits mc body cells h args ->
+  (* Each parameter is substituted or bound to a cell.  Of two sharing a
+     name the last binds, and an earlier one's argument runs into a cell
+     no name reads, for the errors it raises, unless it is pure.  An
+     argument that names a parameter (a caller's local called "ctrl") is
+     not substituted, since the parameter would capture the name. *)
+  let names_param arg =
+    Ir.fold_expr
+      (fun found e -> found || match e with Ir.Var v -> List.mem v h.Ir.h_params | _ -> false)
+      false arg
   in
-  let pairs = List.combine h.Ir.h_params args in
-  let single, eager =
-    List.partition (fun (p, arg) -> occurrences p h.Ir.h_body <= 1 && pure arg) pairs
+  let rec bind = function
+    | [] -> []
+    | (p, arg) :: rest ->
+      let visible = not (List.mem_assoc p rest) in
+      if visible && occurrences p h.Ir.h_body <= 1 && pure arg && not (names_param arg) then
+        `Subst (p, arg) :: bind rest
+      else if visible || not (pure arg) then `Cell (p, visible, arg, ref 0) :: bind rest
+      else bind rest
   in
+  let bound = bind (List.combine h.Ir.h_params args) in
+  let single = List.filter_map (function `Subst b -> Some b | `Cell _ -> None) bound in
+  let eager = List.filter_map (function `Cell c -> Some c | `Subst _ -> None) bound in
   let inlined = Ir.subst_vars single h.Ir.h_body in
-  let site_cells = List.map (fun (p, _) -> (p, ref 0)) eager in
+  let site_cells =
+    List.filter_map (fun (p, visible, _, cell) -> if visible then Some (p, cell) else None) eager
+  in
   let writes =
-    List.map2
-      (fun (_, cell) (_, arg) -> (cell, compile_expr bits mc body cells arg))
-      site_cells eager
-    |> Array.of_list
+    Array.of_list
+      (List.map (fun (_, _, arg, cell) -> (cell, compile_expr bits mc body cells arg)) eager)
   in
   let cbody = compile_expr bits mc body (site_cells @ cells) inlined in
   (* straight-line writes for the usual one to three cells *)
@@ -337,56 +375,57 @@ and compile_call :
       done;
       cbody env
 
-(* Collects the [Let]-bound names of a body, in order, to lay out the locals
-   scratch array. *)
-let rec local_names acc (stmts : Ir.stmt list) =
-  List.fold_left
-    (fun acc (s : Ir.stmt) ->
+(* Compiles an ALU body, returning its statements and the local slots they
+   need.  A [Let] takes the next slot of its scope and is visible to what
+   follows it in its block; a branch's locals go out of scope after its
+   [If], so the two arms (and what follows) reuse slots, as in the
+   interpreter. *)
+let compile_stmts bits mc helpers (stmts : Ir.stmt list) : (cenv -> unit) array * int =
+  let frame = ref 0 in
+  let rec block scope depth = function
+    | [] -> []
+    | (s : Ir.stmt) :: rest -> (
+      let body = Alu (helpers, scope) in
       match s with
-      | Ir.Let (x, _) -> x :: acc
-      | Ir.Store _ | Ir.Return _ -> acc
-      | Ir.If (_, a, b) -> local_names (local_names acc a) b)
-    acc stmts
-
-let compile_stmts bits mc body locals (stmts : Ir.stmt list) : (cenv -> unit) array =
-  let rec compile_one (s : Ir.stmt) : cenv -> unit =
-    match s with
-    | Ir.Let (x, e) ->
-      let i = index_of x locals in
-      let ce = compile_expr bits mc body [] e in
-      fun env -> env.locals.(i) <- ce env
-    | Ir.Store (k, e) ->
-      let ce = compile_expr bits mc body [] e in
-      fun env -> env.state.(k) <- ce env
-    | Ir.Return e ->
-      let ce = compile_expr bits mc body [] e in
-      fun env ->
-        env.ret <- ce env;
-        raise_notrace Return_signal
-    | Ir.If (c, a, b) ->
-      let cc = compile_cond bits mc body [] c in
-      let ca = Array.of_list (List.map compile_one a) in
-      let cb = Array.of_list (List.map compile_one b) in
-      fun env ->
-        let branch = if cc env then ca else cb in
-        for i = 0 to Array.length branch - 1 do
-          (Array.unsafe_get branch i) env
-        done
+      | Ir.Let (x, e) ->
+        let ce = compile_expr bits mc body [] e in
+        frame := max !frame (depth + 1);
+        (fun env -> env.locals.(depth) <- ce env) :: block ((x, depth) :: scope) (depth + 1) rest
+      | Ir.Store (k, e) ->
+        let ce = compile_expr bits mc body [] e in
+        (fun env -> env.state.(k) <- ce env) :: block scope depth rest
+      | Ir.Return e ->
+        let ce = compile_expr bits mc body [] e in
+        let run env =
+          env.ret <- ce env;
+          raise_notrace Return_signal
+        in
+        run :: block scope depth rest
+      | Ir.If (c, a, b) ->
+        let cc = compile_cond bits mc body [] c in
+        let ca = Array.of_list (block scope depth a) in
+        let cb = Array.of_list (block scope depth b) in
+        let run env =
+          let branch = if cc env then ca else cb in
+          for i = 0 to Array.length branch - 1 do
+            (Array.unsafe_get branch i) env
+          done
+        in
+        run :: block scope depth rest)
   in
-  Array.of_list (List.map compile_one stmts)
+  let compiled = Array.of_list (block [] 0 stmts) in
+  (compiled, !frame)
 
 let compile_alu bits mc helpers (a : Ir.alu) : compiled_alu =
-  let locals = List.rev (local_names [] a.Ir.a_body) in
-  let body = Alu (helpers, locals) in
-  let stmts = compile_stmts bits mc body locals a.Ir.a_body in
-  let default = compile_expr bits mc body [] a.Ir.a_default_output in
+  let stmts, n_locals = compile_stmts bits mc helpers a.Ir.a_body in
+  let default = compile_expr bits mc (Alu (helpers, [])) [] a.Ir.a_default_output in
   let n_state = max 1 a.Ir.a_state_size in
   let env =
     {
       phv = [||];
       state = Array.make n_state 0;
       state_read = Array.make n_state 0;
-      locals = Array.make (List.length locals) 0;
+      locals = Array.make n_locals 0;
       ret = 0;
     }
   in

@@ -25,7 +25,7 @@
    regenerating identical bytes. *)
 
 module Report = Druzhba_campaign.Report
-module Checkpoint = Druzhba_campaign.Checkpoint
+module Atomic_file = Druzhba_util.Atomic_file
 
 let format_tag = "druzhba-service-journal"
 let version = 1
@@ -154,7 +154,7 @@ let job_of_json (j : Report.json) : job * int option =
     if state = Running then orphan else None )
 
 let save (t : t) =
-  Checkpoint.atomic_write_string (journal_path t.root) (Report.to_string (to_json t) ^ "\n");
+  Atomic_file.atomic_write_string (journal_path t.root) (Report.to_string (to_json t) ^ "\n");
   t.dirty <- false
 
 let save_if_dirty t = if t.dirty then save t
@@ -202,9 +202,6 @@ let mkdir_p dir =
   in
   go dir
 
-let write_file path contents =
-  Checkpoint.atomic_write_string path contents
-
 (* Admits a parsed submission: assigns the id, materializes the job
    directory with spec + inline files, journals synchronously (the 201
    reply must never outlive the daemon's knowledge of the job). *)
@@ -233,9 +230,10 @@ let submit (t : t) (sb : Protocol.submission) : job =
   in
   let dir = job_dir t j in
   mkdir_p dir;
-  write_file (Filename.concat dir "spec.json") (Report.to_string sb.Protocol.sb_spec ^ "\n");
+  Atomic_file.atomic_write_string (Filename.concat dir "spec.json")
+    (Report.to_string sb.Protocol.sb_spec ^ "\n");
   List.iter
-    (fun (name, contents) -> write_file (Filename.concat dir name) contents)
+    (fun (name, contents) -> Atomic_file.atomic_write_string (Filename.concat dir name) contents)
     sb.Protocol.sb_files;
   t.jobs <- t.jobs @ [ j ];
   save t;
@@ -383,7 +381,7 @@ let load_findings root : findings =
     | _ -> { fd_keys = [] }
 
 let save_findings root (f : findings) =
-  Checkpoint.atomic_write_string (findings_path root)
+  Atomic_file.atomic_write_string (findings_path root)
     (Report.to_string
        (Report.Obj
           [

@@ -15,11 +15,13 @@
      strictly (unknown keys are a 400, not a silent ignore — a typoed
      "trails" must not quietly run a default campaign), and compiled down
      to the argv tail of the `druzhba campaign` worker the supervisor will
-     fork for it.
+     fork for it.  A campaign's keys are {!Campaign.config_of_json}'s, and
+     its argv is {!Campaign.config_to_argv}'s.
 
    Also carries the tiny blocking HTTP client the tests and examples use. *)
 
 module Report = Druzhba_campaign.Report
+module Campaign = Druzhba_campaign.Campaign
 
 (* --- HTTP requests ----------------------------------------------------------- *)
 
@@ -167,9 +169,11 @@ let dechunk (s : string) : string =
 
    POST /jobs accepts one JSON object.  Two kinds:
 
-   {"kind": "campaign", ...}   a differential fuzz campaign; every knob of
-                               `druzhba campaign` that is compatible with
-                               checkpoint/resume is accepted
+   {"kind": "campaign", ...}   a differential fuzz campaign: the keys of
+                               the campaign config codec, plus "files",
+                               "chaos_kill_after" and "chaos_kill_file"; a
+                               config that cannot be checkpointed
+                               (coverage mode) is refused
    {"kind": "directed",        replay a witness file (machine-code values +
     "witnesses": "...", ...}   ALU names + program specs in the established
                                druzhba-witnesses/1 format); deterministic,
@@ -209,12 +213,6 @@ let get_str fields key =
   | Some (Report.Str v) -> Ok (Some v)
   | Some _ -> Error (Printf.sprintf "field %S must be a string" key)
 
-let get_bool fields key =
-  match List.assoc_opt key fields with
-  | None -> Ok None
-  | Some (Report.Bool v) -> Ok (Some v)
-  | Some _ -> Error (Printf.sprintf "field %S must be a boolean" key)
-
 let positive key = function
   | Some v when v <= 0 -> Error (Printf.sprintf "field %S must be positive" key)
   | v -> Ok v
@@ -251,42 +249,21 @@ let reject_unknown fields allowed =
          (String.concat ", " (List.sort compare allowed)))
   | None -> Ok ()
 
-let campaign_allowed =
-  [
-    "kind"; "trials"; "seed"; "substrate"; "phvs"; "checkpoint_every"; "fuel"; "max_failures";
-    "shrink"; "max_probes"; "faults"; "fault_runs"; "faults_per_run"; "files";
-    "chaos_kill_after"; "chaos_kill_file";
-  ]
+(* A campaign submission's keys for the service itself; the rest are the
+   campaign's config. *)
+let service_keys = [ "kind"; "files"; "chaos_kill_after"; "chaos_kill_file" ]
 
 let directed_allowed = [ "kind"; "witnesses"; "phvs"; "seed"; "files" ]
 
 let opt_flag flag = function Some v -> [ flag; string_of_int v ] | None -> []
 
 let parse_campaign spec fields =
-  let* () = reject_unknown fields campaign_allowed in
-  let* trials = Result.bind (get_int fields "trials") (positive "trials") in
-  let trials = Option.value trials ~default:100 in
-  let* seed = get_int fields "seed" in
-  let* substrate = get_str fields "substrate" in
-  let* () =
-    match substrate with
-    | Some s when Druzhba_campaign.Campaign.families_of_name s = None ->
-      Error
-        (Printf.sprintf "unknown substrate %S (%s)" s
-           (String.concat ", " Druzhba_campaign.Campaign.substrate_names))
-    | _ -> Ok ()
-  in
-  let* phvs = Result.bind (get_int fields "phvs") (positive "phvs") in
-  let* checkpoint_every = Result.bind (get_int fields "checkpoint_every") (positive "checkpoint_every") in
-  let* fuel = Result.bind (get_int fields "fuel") (positive "fuel") in
-  let* max_failures = Result.bind (get_int fields "max_failures") (positive "max_failures") in
-  let* shrink = get_bool fields "shrink" in
-  let* max_probes = Result.bind (get_int fields "max_probes") (positive "max_probes") in
-  let* faults = get_bool fields "faults" in
-  let* fault_runs = Result.bind (get_int fields "fault_runs") (positive "fault_runs") in
-  let* faults_per_run = Result.bind (get_int fields "faults_per_run") (positive "faults_per_run") in
-  let* chaos_kill_after = get_int fields "chaos_kill_after" in
-  let* chaos_kill_file = get_str fields "chaos_kill_file" in
+  let service, config = List.partition (fun (k, _) -> List.mem k service_keys) fields in
+  let* cfg = Campaign.config_of_json (Report.Obj config) in
+  (* the supervisor always checkpoints *)
+  let* () = Campaign.resumable cfg in
+  let* chaos_kill_after = get_int service "chaos_kill_after" in
+  let* chaos_kill_file = get_str service "chaos_kill_file" in
   (* the worker deletes this path from inside its job directory *)
   let* () =
     match chaos_kill_file with
@@ -294,24 +271,14 @@ let parse_campaign spec fields =
       Error (Printf.sprintf "unsafe file name %S in \"chaos_kill_file\"" name)
     | _ -> Ok ()
   in
-  let* files = get_files fields in
+  let* files = get_files service in
   let args =
-    [ "campaign"; "--trials"; string_of_int trials ]
-    @ opt_flag "--seed" seed
-    @ (match substrate with Some s -> [ "--substrate"; s ] | None -> [])
-    @ opt_flag "--phvs" phvs
-    @ opt_flag "--checkpoint-every" checkpoint_every
-    @ opt_flag "--trial-fuel" fuel
-    @ opt_flag "--max-failures" max_failures
-    @ (if shrink = Some false then [ "--no-shrink" ] else [])
-    @ opt_flag "--max-probes" max_probes
-    @ (if faults = Some true then [ "--faults" ] else [])
-    @ opt_flag "--fault-runs" fault_runs
-    @ opt_flag "--faults-per-run" faults_per_run
+    ("campaign" :: Campaign.config_to_argv cfg)
     @ opt_flag "--chaos-kill-after" chaos_kill_after
     @ (match chaos_kill_file with Some f -> [ "--chaos-kill-file"; f ] | None -> [])
   in
-  Ok { sb_kind = Campaign; sb_spec = spec; sb_args = args; sb_files = files; sb_trials = trials }
+  let sb_trials = cfg.Campaign.c_trials in
+  Ok { sb_kind = Campaign; sb_spec = spec; sb_args = args; sb_files = files; sb_trials }
 
 let parse_directed spec fields =
   let* () = reject_unknown fields directed_allowed in

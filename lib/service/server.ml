@@ -19,7 +19,7 @@
      on disk, not rows the daemon recomputes. *)
 
 module Report = Druzhba_campaign.Report
-module Checkpoint = Druzhba_campaign.Checkpoint
+module Atomic_file = Druzhba_util.Atomic_file
 
 type config = {
   s_root : string;
@@ -236,7 +236,7 @@ let run (cfg : config) : int =
       | _ -> cfg.s_port
     in
     (* the port file is how tests and scripts find an ephemeral daemon *)
-    Checkpoint.atomic_write_string (Filename.concat cfg.s_root "port")
+    Atomic_file.atomic_write_string (Filename.concat cfg.s_root "port")
       (string_of_int port ^ "\n");
     let quit = ref false in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> quit := true));

@@ -249,12 +249,12 @@ let test_campaign_counts () =
 let test_crash_containment_determinism () =
   let hook i = if i mod 5 = 3 then failwith (Printf.sprintf "chaos at trial %d" i) in
   let report jobs =
-    Campaign.to_json (Campaign.run (Campaign.config ~trials:10 ~jobs ~phvs:15 ~hook ()))
+    Campaign.to_json (Campaign.run ~hook (Campaign.config ~trials:10 ~jobs ~phvs:15 ()))
   in
   let j1 = report 1 and j2 = report 2 and j4 = report 4 in
   Alcotest.(check string) "jobs 1 = jobs 2" j1 j2;
   Alcotest.(check string) "jobs 1 = jobs 4" j1 j4;
-  let r = Campaign.run (Campaign.config ~trials:10 ~phvs:15 ~hook ()) in
+  let r = Campaign.run ~hook (Campaign.config ~trials:10 ~phvs:15 ()) in
   Alcotest.(check int) "both injected crashes recorded" 2 r.Campaign.r_crashed;
   List.iter
     (fun t ->
@@ -285,10 +285,8 @@ let test_watchdog_timeout () =
    report is identical whatever the job count. *)
 let test_max_failures_cutoff () =
   let hook i = if i >= 2 then failwith "boom" in
-  let mk jobs =
-    Campaign.config ~trials:20 ~jobs ~phvs:10 ~max_failures:3 ~checkpoint_every:4 ~hook ()
-  in
-  let r1 = Campaign.run (mk 1) and r4 = Campaign.run (mk 4) in
+  let mk jobs = Campaign.config ~trials:20 ~jobs ~phvs:10 ~max_failures:3 ~checkpoint_every:4 () in
+  let r1 = Campaign.run ~hook (mk 1) and r4 = Campaign.run ~hook (mk 4) in
   Alcotest.(check string) "cutoff independent of jobs" (Campaign.to_json r1) (Campaign.to_json r4);
   (match r1.Campaign.r_stopped_after with
   | Some i -> Alcotest.(check int) "third failure is trial 4" 4 i
@@ -297,29 +295,39 @@ let test_max_failures_cutoff () =
 
 (* Kill-and-resume: a run aborted mid-campaign (checkpoint on disk) resumed
    under a different job count must reproduce the uninterrupted report byte
-   for byte — including the crash records it had already collected. *)
+   for byte — including the crash records it had already collected — with
+   the planted sabotage pass off and on.  The checkpoint pins the whole
+   config, so a resume under another one is refused. *)
 let test_checkpoint_resume_byte_identical () =
-  let tmp = Filename.temp_file "druzhba-ck" ".json" in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists tmp then Sys.remove tmp)
-    (fun () ->
-      let hook i = if i mod 7 = 3 then failwith "chaos" in
-      let mk jobs = Campaign.config ~trials:12 ~jobs ~phvs:15 ~checkpoint_every:4 ~hook () in
-      let expected = Campaign.to_json (Campaign.run (mk 2)) in
-      (match Campaign.run_resumable ~checkpoint:tmp ~stop_after:8 (mk 2) with
-      | None -> ()
-      | Some _ -> Alcotest.fail "stop_after should abort the campaign");
-      (match Campaign.run_resumable ~checkpoint:tmp ~resume:true (mk 1) with
-      | Some r ->
-        Alcotest.(check string) "resumed = uninterrupted" expected (Campaign.to_json r)
-      | None -> Alcotest.fail "resume did not run to completion");
-      (* a resume under a different configuration must be refused *)
-      match
-        Campaign.run_resumable ~checkpoint:tmp ~resume:true
-          (Campaign.config ~trials:13 ~phvs:15 ~checkpoint_every:4 ~hook ())
-      with
-      | exception Campaign.Resume_error _ -> ()
-      | _ -> Alcotest.fail "mismatched checkpoint signature accepted")
+  let hook i = if i mod 7 = 3 then failwith "chaos" in
+  List.iter
+    (fun sabotage_pass ->
+      let tmp = Filename.temp_file "druzhba-ck" ".json" in
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists tmp then Sys.remove tmp)
+        (fun () ->
+          let mk ?(trials = 12) ?(checkpoint_every = 4) ?(sabotage_pass = sabotage_pass) jobs =
+            Campaign.config ~trials ~jobs ~phvs:15 ~checkpoint_every ~sabotage_pass ()
+          in
+          let expected = Campaign.to_json (Campaign.run ~hook (mk 2)) in
+          (match Campaign.run_resumable ~checkpoint:tmp ~stop_after:8 ~hook (mk 2) with
+          | None -> ()
+          | Some _ -> Alcotest.fail "stop_after should abort the campaign");
+          (match Campaign.run_resumable ~checkpoint:tmp ~resume:true ~hook (mk 1) with
+          | Some r ->
+            Alcotest.(check string) "resumed = uninterrupted" expected (Campaign.to_json r)
+          | None -> Alcotest.fail "resume did not run to completion");
+          List.iter
+            (fun (what, cfg) ->
+              match Campaign.run_resumable ~checkpoint:tmp ~resume:true ~hook cfg with
+              | exception Campaign.Resume_error _ -> ()
+              | _ -> Alcotest.failf "checkpoint resumed under another %s" what)
+            [
+              ("trial count", mk ~trials:13 1);
+              ("block size", mk ~checkpoint_every:3 1);
+              ("sabotage pass", mk ~sabotage_pass:(not sabotage_pass) 1);
+            ]))
+    [ false; true ]
 
 (* Fault-injection mode on a healthy simulator: substrates agree under
    faults, fault-free replays stay pristine, and the whole fault campaign
@@ -386,8 +394,8 @@ let test_all_selector_alternates () =
    shrunk counterexample, and must replay from the recorded seed alone. *)
 let test_drmt_sabotage_is_caught () =
   let sabotage i = i = 1 in
-  let cfg = Campaign.config ~trials:3 ~substrate:"drmt" ~phvs:25 ~sabotage () in
-  let r = Campaign.run cfg in
+  let cfg = Campaign.config ~trials:3 ~substrate:"drmt" ~phvs:25 () in
+  let r = Campaign.run ~sabotage cfg in
   Alcotest.(check int) "exactly the sabotaged trial diverges" 1 r.Campaign.r_divergent;
   Alcotest.(check int) "the other trials agree" 2 r.Campaign.r_agree;
   let bad = List.nth r.Campaign.r_trials 1 in
@@ -403,7 +411,7 @@ let test_drmt_sabotage_is_caught () =
   | None -> Alcotest.fail "divergent trial was not shrunk");
   (* replayability: re-running the trial from its index reproduces the
      exact divergence — the seed in the report is all a human needs *)
-  let again, _ = Campaign.run_trial ~cfg 1 in
+  let again, _ = Campaign.run_trial ~sabotage ~cfg 1 in
   Alcotest.(check int) "derived seed is stable" bad.Campaign.t_seed again.Campaign.t_seed;
   match (bad.Campaign.t_outcome, again.Campaign.t_outcome) with
   | Campaign.Finished (Oracle.Divergence a), Campaign.Finished (Oracle.Divergence b) ->
@@ -435,7 +443,7 @@ let test_drmt_faults_mode () =
     (Campaign.to_json r)
 
 (* JSON round-trip across the substrate families: params and divergences
-   keyed by config label survive serialization (checkpoint format v2). *)
+   keyed by config label survive serialization. *)
 let test_mixed_checkpoint_resume () =
   let tmp = Filename.temp_file "druzhba-drmt-ck" ".json" in
   Fun.protect

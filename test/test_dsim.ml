@@ -363,6 +363,16 @@ let run_fresh desc ~mc inputs =
   let buf = Trace.Buffer.create ~width:1 ~capacity:(List.length inputs) in
   Engine.run_into engine ~inputs:(List.map (fun v -> [| v |]) inputs) buf
 
+(* The two executors, each built before any input is seen: the engine and
+   the closures must raise the same error at the same evaluation. *)
+let executors =
+  [
+    ("interpreter", run_fresh);
+    ( "closures",
+      fun desc ~mc inputs ->
+        ignore (Compiled.run desc ~mc ~inputs:(List.map (fun v -> [| v |]) inputs)) );
+  ]
+
 (* [body] runs only on a PHV whose container 0 holds 7. *)
 let on_seven body = [ Ir.If (Ir.Binop (Ir.Eq, Ir.Phv 0, Ir.Const 7), body, []) ]
 
@@ -467,52 +477,96 @@ let test_lazy_missing_arguments () =
 
 let test_lazy_unknown_helper () =
   let desc, mc = with_stateful_body (on_seven [ Ir.Return (Ir.Call ("no_such_helper", [])) ]) in
-  run_fresh desc ~mc [ 1; 2; 3 ];
-  Alcotest.check_raises "branch taken" (Invalid_argument "Interp: unknown helper 'no_such_helper'")
-    (fun () -> run_fresh desc ~mc [ 1; 7 ])
+  List.iter
+    (fun (exec, run) ->
+      run desc ~mc [ 1; 2; 3 ];
+      Alcotest.check_raises (exec ^ ": branch taken")
+        (Invalid_argument "Interp: unknown helper 'no_such_helper'")
+        (fun () -> run desc ~mc [ 1; 7 ]))
+    executors
 
 let test_lazy_unbound_variable () =
-  let desc, mc = with_stateful_body (on_seven [ Ir.Store (0, Ir.Var "ghost") ]) in
-  run_fresh desc ~mc [ 1; 2; 3 ];
-  Alcotest.check_raises "branch taken" (Interp.Unbound_variable "ghost") (fun () ->
-      run_fresh desc ~mc [ 7 ]);
-  (* a [Let] in a branch is out of scope after its [If] *)
-  let desc, mc =
-    with_stateful_body (on_seven [ Ir.Let ("x", Ir.Const 1) ] @ [ Ir.Store (0, Ir.Var "x") ])
-  in
-  Alcotest.check_raises "branch local after its If" (Interp.Unbound_variable "x") (fun () ->
-      run_fresh desc ~mc [ 7 ])
+  List.iter
+    (fun (exec, run) ->
+      let desc, mc = with_stateful_body (on_seven [ Ir.Store (0, Ir.Var "ghost") ]) in
+      run desc ~mc [ 1; 2; 3 ];
+      Alcotest.check_raises (exec ^ ": branch taken") (Interp.Unbound_variable "ghost") (fun () ->
+          run desc ~mc [ 7 ]);
+      (* a [Let] in a branch is out of scope after its [If] *)
+      let desc, mc =
+        with_stateful_body (on_seven [ Ir.Let ("x", Ir.Const 1) ] @ [ Ir.Store (0, Ir.Var "x") ])
+      in
+      Alcotest.check_raises (exec ^ ": branch local after its If") (Interp.Unbound_variable "x")
+        (fun () -> run desc ~mc [ 7 ]))
+    executors
 
 let test_lazy_arity_mismatch () =
   (* the input mux takes (phv0, ctrl) *)
   let mux = Names.input_mux ~alu_prefix:(Names.stateful_alu ~stage:0 ~alu:0) ~operand:0 in
   let call args = with_stateful_body (on_seven [ Ir.Store (0, Ir.Call (mux, args)) ]) in
-  let desc, mc = call [ Ir.Phv 0 ] in
-  run_fresh desc ~mc [ 1 ];
-  Alcotest.check_raises "too few arguments" (Invalid_argument "List.fold_left2") (fun () ->
-      run_fresh desc ~mc [ 7 ]);
-  (* arguments past the shorter list are never evaluated *)
-  let desc, mc = call [ Ir.Phv 0; Ir.Const 0; Ir.Mc "absent" ] in
-  Alcotest.check_raises "too many arguments" (Invalid_argument "List.fold_left2") (fun () ->
-      run_fresh desc ~mc [ 7 ]);
-  (* ... but those before the mismatch are, first *)
-  let desc, mc = call [ Ir.Mc "absent" ] in
-  Alcotest.check_raises "argument before the mismatch" (Machine_code.Missing "absent") (fun () ->
-      run_fresh desc ~mc [ 7 ])
+  List.iter
+    (fun (exec, run) ->
+      let desc, mc = call [ Ir.Phv 0 ] in
+      run desc ~mc [ 1 ];
+      Alcotest.check_raises (exec ^ ": too few arguments") (Invalid_argument "List.fold_left2")
+        (fun () -> run desc ~mc [ 7 ]);
+      (* arguments past the shorter list are never evaluated *)
+      let desc, mc = call [ Ir.Phv 0; Ir.Const 0; Ir.Mc "absent" ] in
+      Alcotest.check_raises (exec ^ ": too many arguments") (Invalid_argument "List.fold_left2")
+        (fun () -> run desc ~mc [ 7 ]);
+      (* ... but those before the mismatch are, first *)
+      let desc, mc = call [ Ir.Mc "absent" ] in
+      Alcotest.check_raises (exec ^ ": argument before the mismatch")
+        (Machine_code.Missing "absent") (fun () -> run desc ~mc [ 7 ]))
+    executors
 
-(* Of two parameters sharing a name, the last one binds. *)
+(* Of two parameters sharing a name, the last one binds; the shadowed
+   argument still runs first. *)
 let test_duplicate_parameter_last_wins () =
-  let desc, mc =
-    with_stateful_body [ Ir.Store (0, Ir.Call ("dup", [ Ir.Const 5; Ir.Const 9 ])) ]
+  let dup args =
+    let desc, mc = with_stateful_body [ Ir.Store (0, Ir.Call ("dup", args)) ] in
+    let helpers = Hashtbl.copy desc.Ir.d_helpers in
+    Hashtbl.replace helpers "dup"
+      { Ir.h_name = "dup"; h_params = [ "a"; "a" ]; h_body = Ir.Var "a"; h_ctrl = None };
+    ({ desc with Ir.d_helpers = helpers }, mc)
   in
-  let helpers = Hashtbl.copy desc.Ir.d_helpers in
-  Hashtbl.replace helpers "dup"
-    { Ir.h_name = "dup"; h_params = [ "a"; "a" ]; h_body = Ir.Var "a"; h_ctrl = None };
-  let desc = { desc with Ir.d_helpers = helpers } in
-  let trace = Engine.run desc ~mc ~inputs:[ [| 1 |] ] in
-  Alcotest.(check (option (list int)))
-    "second argument" (Some [ 9 ])
-    (Option.map Array.to_list (Trace.find_state trace (Names.stateful_alu ~stage:0 ~alu:0)))
+  let state trace =
+    Option.map Array.to_list (Trace.find_state trace (Names.stateful_alu ~stage:0 ~alu:0))
+  in
+  List.iter
+    (fun (exec, run) ->
+      let desc, mc = dup [ Ir.Const 5; Ir.Const 9 ] in
+      Alcotest.(check (option (list int))) (exec ^ ": second argument") (Some [ 9 ])
+        (state (run desc ~mc ~inputs:[ [| 1 |] ]));
+      let desc, mc = dup [ Ir.Mc "absent"; Ir.Const 9 ] in
+      Alcotest.check_raises (exec ^ ": shadowed argument runs") (Machine_code.Missing "absent")
+        (fun () -> ignore (run desc ~mc ~inputs:[ [| 1 |] ])))
+    [
+      ("interpreter", fun desc ~mc ~inputs -> Engine.run desc ~mc ~inputs);
+      ("closures", fun desc ~mc ~inputs -> Compiled.run desc ~mc ~inputs);
+    ]
+
+(* A caller's name is the caller's, not a parameter's: a packet field
+   called [ctrl] passed to [Opt] reaches the Opt helper's argument, whatever
+   the helper's own "ctrl" control holds. *)
+let test_argument_named_like_parameter () =
+  let src =
+    "type : stateful\nstate variables : {state_0}\nhole variables : {}\n\
+     packet fields : {ctrl}\nstate_0 = state_0 + Opt(ctrl);\n"
+  in
+  let alu =
+    match Druzhba_alu_dsl.Parser.parse_result ~name:"capture" src with
+    | Ok alu -> alu
+    | Error e -> Alcotest.fail e
+  in
+  let desc =
+    Dgen.generate (Dgen.config ~depth:1 ~width:1 ~bits:8 ()) ~stateful:alu
+      ~stateless:(Atoms.find_exn "stateless_arith")
+  in
+  let mc = Fuzz.random_mc (Prng.create 3) desc in
+  let alu_prefix = Names.stateful_alu ~stage:0 ~alu:0 in
+  Machine_code.set mc (Names.slot ~alu_prefix ~slot_name:"opt_0") 0;
+  ignore (executors_agree "a field called ctrl through Opt" desc mc)
 
 (* The coverage probe numbers branch sites in pre-order over the ALU body,
    whatever path runs, and reports latches and the explicit/default
@@ -839,6 +893,8 @@ let () =
           Alcotest.test_case "arity mismatch: List.fold_left2" `Quick test_lazy_arity_mismatch;
           Alcotest.test_case "duplicate parameter: last wins" `Quick
             test_duplicate_parameter_last_wins;
+          Alcotest.test_case "argument named like a parameter" `Quick
+            test_argument_named_like_parameter;
         ] );
       ( "probe",
         [ Alcotest.test_case "pre-order branch sites" `Quick test_probe_branch_sites ] );

@@ -52,20 +52,27 @@ let rec rm_rf path =
 let devnull flags = Unix.openfile "/dev/null" flags 0
 
 (* Spawn the CLI, wait, return the process status.  [env] bindings
-   ("NAME=value") take precedence over the inherited environment. *)
-let run_cli ?dir ?(env = []) args : Unix.process_status =
+   ("NAME=value") take precedence over the inherited environment; [err]
+   names a file that receives the command's stderr. *)
+let run_cli ?dir ?(env = []) ?err args : Unix.process_status =
   let null_in = devnull [ Unix.O_RDONLY ] and null_out = devnull [ Unix.O_WRONLY ] in
+  let err_out =
+    match err with
+    | Some path -> Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+    | None -> null_out
+  in
   let saved = Sys.getcwd () in
   (match dir with Some d -> Sys.chdir d | None -> ());
   let pid =
     Unix.create_process_env druzhba_exe
       (Array.of_list ("druzhba" :: args))
       (Array.append (Array.of_list env) (Unix.environment ()))
-      null_in null_out null_out
+      null_in null_out err_out
   in
   (match dir with Some _ -> Sys.chdir saved | None -> ());
   Unix.close null_in;
   Unix.close null_out;
+  if err <> None then Unix.close err_out;
   snd (Unix.waitpid [] pid)
 
 let spawn_cli ?dir args : int =
@@ -155,8 +162,8 @@ let test_submission_campaign () =
     Alcotest.(check int) "trials" 50 sb.Protocol.sb_trials;
     let args = String.concat " " sb.Protocol.sb_args in
     Alcotest.(check bool) "has trials flag" true
-      (contains ~affix:"--trials 50" args);
-    Alcotest.(check bool) "has seed" true (contains ~affix:"--seed 9" args);
+      (contains ~affix:"--trials=50" args);
+    Alcotest.(check bool) "has seed" true (contains ~affix:"--seed=9" args);
     Alcotest.(check bool) "has no-shrink" true (contains ~affix:"--no-shrink" args)
 
 let test_submission_rejects () =
@@ -190,6 +197,150 @@ let test_submission_directed () =
     Alcotest.(check bool) "witness file materialized" true
       (List.mem_assoc "witnesses.txt" sb.Protocol.sb_files);
     Alcotest.(check bool) "directed flag" true (List.mem "--directed" sb.Protocol.sb_args)
+
+(* --- The campaign config codec ------------------------------------------------
+
+   One row per codec key, each setting that key off its default (a corpus
+   needs coverage mode, so its row sets both).  Every spelling of a row —
+   the JSON, a submission, the worker argv, the CLI's checkpoint — must
+   carry the same config. *)
+
+let codec_rows =
+  let faults ?runs ?per_run () = Some (Campaign.fault_config ?runs ?per_run ()) in
+  [
+    ("trials", Campaign.config ~trials:7 ());
+    ("seed", Campaign.config ~master_seed:(-12) ());
+    ("substrate", Campaign.config ~substrate:"drmt" ());
+    ("phvs", Campaign.config ~phvs:9 ());
+    ("checkpoint_every", Campaign.config ~checkpoint_every:5 ());
+    ("fuel", Campaign.config ~fuel:3000 ());
+    ("max_failures", Campaign.config ~max_failures:3 ());
+    ("shrink", Campaign.config ~shrink:false ());
+    ("max_probes", Campaign.config ~max_probes:17 ());
+    ("faults", Campaign.config ?faults:(faults ()) ());
+    ("fault_runs", Campaign.config ?faults:(faults ~runs:3 ()) ());
+    ("faults_per_run", Campaign.config ?faults:(faults ~per_run:4 ()) ());
+    ("coverage", Campaign.config ~coverage:true ());
+    ("corpus", Campaign.config ~coverage:true ~corpus_dir:"corpus-dir" ());
+    ("sabotage_pass", Campaign.config ~sabotage_pass:true ());
+  ]
+
+let coverage_refusal = "coverage mode is incompatible with checkpoint/resume"
+
+let test_codec_rows_json () =
+  Alcotest.(check (list string)) "one row per key, in the codec's order" Campaign.config_keys
+    (List.map fst codec_rows);
+  let default = Campaign.config_to_json (Campaign.config ()) in
+  List.iter
+    (fun (key, cfg) ->
+      let j = Campaign.config_to_json cfg in
+      Alcotest.(check bool) (key ^ ": off its default") false
+        (Report.member key j = Report.member key default);
+      Alcotest.(check bool) (key ^ ": round trip") true (Campaign.config_of_json j = Ok cfg))
+    codec_rows
+
+let gen_config : Campaign.config QCheck.Gen.t =
+  let open QCheck.Gen in
+  let pos = int_range 1 1_000_000 in
+  pos >>= fun trials ->
+  int >>= fun master_seed ->
+  oneofl Campaign.substrate_names >>= fun substrate ->
+  pos >>= fun phvs ->
+  pos >>= fun checkpoint_every ->
+  option pos >>= fun fuel ->
+  option pos >>= fun max_failures ->
+  bool >>= fun shrink ->
+  pos >>= fun max_probes ->
+  option (pair pos pos) >>= fun faults ->
+  bool >>= fun coverage ->
+  (if coverage then option (string_size ~gen:printable (int_range 1 12)) else return None)
+  >>= fun corpus_dir ->
+  bool >>= fun sabotage_pass ->
+  let faults = Option.map (fun (runs, per_run) -> Campaign.fault_config ~runs ~per_run ()) faults in
+  return
+    (Campaign.config ~trials ~master_seed ~substrate ~phvs ~checkpoint_every ?fuel ?max_failures
+       ~shrink ~max_probes ?faults ~coverage ?corpus_dir ~sabotage_pass ())
+
+(* through the text a checkpoint holds, too *)
+let qcheck_codec_round_trip =
+  QCheck.Test.make ~name:"config_of_json (config_to_json c) = Ok c" ~count:300
+    (QCheck.make
+       ~print:(fun c -> Report.to_string (Campaign.config_to_json c))
+       gen_config)
+    (fun c ->
+      let j = Campaign.config_to_json c in
+      Campaign.config_of_json j = Ok c
+      && Result.bind (Report.parse (Report.to_string j)) Campaign.config_of_json = Ok c)
+
+let test_codec_rows_submission () =
+  List.iter
+    (fun (key, cfg) ->
+      let fields =
+        match Campaign.config_to_json cfg with Report.Obj f -> f | _ -> assert false
+      in
+      match
+        (Protocol.parse_submission (Report.Obj (("kind", Report.Str "campaign") :: fields)),
+         cfg.Campaign.c_coverage)
+      with
+      | Ok sb, false ->
+        Alcotest.(check (list string)) (key ^ ": worker argv")
+          ("campaign" :: Campaign.config_to_argv cfg)
+          sb.Protocol.sb_args;
+        Alcotest.(check int) (key ^ ": trials") cfg.Campaign.c_trials sb.Protocol.sb_trials
+      | Error e, true ->
+        Alcotest.(check bool) (key ^ ": refusal named") true (contains ~affix:coverage_refusal e)
+      | Ok _, true -> Alcotest.failf "%s: coverage submission accepted" key
+      | Error e, false -> Alcotest.failf "%s: refused: %s" key e)
+    codec_rows
+
+let test_codec_rows_cli () =
+  let dir = fresh_dir "druzhba-codec" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      List.iter
+        (fun (key, cfg) ->
+          let ck = Filename.concat dir (key ^ ".ck") in
+          let status =
+            run_cli ~dir
+              (("campaign" :: Campaign.config_to_argv cfg)
+              @ [ "--checkpoint"; ck; "--stop-after"; "1" ])
+          in
+          if cfg.Campaign.c_coverage then begin
+            Alcotest.(check bool) (key ^ ": usage error") true (status = Unix.WEXITED 2);
+            Alcotest.(check bool) (key ^ ": no checkpoint") false (Sys.file_exists ck)
+          end
+          else
+            match Checkpoint.load ck with
+            | Ok c ->
+              Alcotest.(check string) (key ^ ": checkpoint config")
+                (Report.to_string (Campaign.config_to_json cfg))
+                (Report.to_string c.Checkpoint.ck_config)
+            | Error e ->
+              Alcotest.failf "%s: no checkpoint (%s): %s" key (Supervisor.describe_status status) e)
+        codec_rows)
+
+(* A checkpoint of format version 2 (its config was a ten-key signature)
+   is refused as a usage error that names its version. *)
+let test_v2_checkpoint_refused () =
+  let dir = fresh_dir "druzhba-v2" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let ck = Filename.concat dir "v2.ck" and err = Filename.concat dir "stderr" in
+      Out_channel.with_open_bin ck (fun oc ->
+          Out_channel.output_string oc
+            (String.concat ""
+               [
+                 {|{"format":"druzhba-campaign-checkpoint","version":2,|};
+                 {|"signature":{"substrate":"rmt","master_seed":873146,"trials":8,"phvs":100,|};
+                 {|"shrink":true,"max_probes":400,"fuel":0,"max_failures":0,"fault_runs":0,|};
+                 {|"faults_per_run":0},"completed":[[0,3]],"records":[]}|};
+               ]));
+      let status = run_cli ~err [ "campaign"; "--trials=8"; "--checkpoint"; ck; "--resume" ] in
+      Alcotest.(check bool) "usage error" true (status = Unix.WEXITED 2);
+      Alcotest.(check bool) "names the version" true
+        (contains ~affix:"unsupported checkpoint version 2 (expected 3)" (read_file err)))
 
 (* --- Supervisor: backoff ------------------------------------------------------ *)
 
@@ -330,8 +481,8 @@ let test_atomic_write_leaves_no_tmp () =
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
       let path = Filename.concat dir "out.json" in
-      Checkpoint.atomic_write_string path "payload";
-      Checkpoint.atomic_write_string path "payload2";
+      Druzhba_util.Atomic_file.atomic_write_string path "payload";
+      Druzhba_util.Atomic_file.atomic_write_string path "payload2";
       Alcotest.(check string) "last write wins" "payload2" (read_file path);
       Alcotest.(check (list string)) "no tmp droppings" [ "out.json" ]
         (Array.to_list (Sys.readdir dir)))
@@ -563,6 +714,11 @@ let test_daemon_end_to_end () =
       Alcotest.(check int) "typo is 400" 400 status;
       Alcotest.(check bool) "typo named" true
         (contains ~affix:"trails" body);
+      let status, body =
+        http d ~meth:"POST" ~path:"/jobs" ~body:{|{"kind":"campaign","coverage":true}|} ()
+      in
+      Alcotest.(check int) "coverage is 400" 400 status;
+      Alcotest.(check bool) "refusal named" true (contains ~affix:coverage_refusal body);
 
       (* -- two jobs; one worker kill -9'ed mid-job (armed chaos) --------- *)
       let healthy = submit d (campaign_spec ~trials:60 ~seed:7 ()) in
@@ -729,6 +885,16 @@ let () =
           Alcotest.test_case "strict validation" `Quick test_submission_rejects;
           Alcotest.test_case "directed spec carries its witness file" `Quick
             test_submission_directed;
+        ] );
+      ( "config codec",
+        [
+          Alcotest.test_case "one row per key round-trips" `Quick test_codec_rows_json;
+          QCheck_alcotest.to_alcotest qcheck_codec_round_trip;
+          Alcotest.test_case "a submission's argv is the codec's" `Quick
+            test_codec_rows_submission;
+          Alcotest.test_case "the CLI checkpoints the codec's config" `Quick test_codec_rows_cli;
+          Alcotest.test_case "a version-2 checkpoint is refused" `Quick
+            test_v2_checkpoint_refused;
         ] );
       ( "supervisor",
         [ Alcotest.test_case "bounded exponential backoff" `Quick test_backoff ] );

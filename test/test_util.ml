@@ -2,7 +2,6 @@
 
 module Value = Druzhba_util.Value
 module Prng = Druzhba_util.Prng
-module Hashing = Druzhba_util.Hashing
 module Scanner = Druzhba_util.Scanner
 
 let check_int = Alcotest.(check int)
@@ -118,26 +117,6 @@ let test_prng_rough_uniformity () =
   done;
   Alcotest.(check bool) "roughly balanced" true (!low > n / 3 && !low < 2 * n / 3)
 
-(* --- Hashing ---------------------------------------------------------------- *)
-
-let test_hash_determinism () =
-  check_int "hash1" (Hashing.hash1 ~bits:16 99) (Hashing.hash1 ~bits:16 99);
-  check_int "hash2" (Hashing.hash2 ~bits:16 1 2) (Hashing.hash2 ~bits:16 1 2);
-  check_int "hash3" (Hashing.hash3 ~bits:16 1 2 3) (Hashing.hash3 ~bits:16 1 2 3)
-
-let test_hash_width () =
-  for x = 0 to 100 do
-    let h = Hashing.hash1 ~bits:5 x in
-    Alcotest.(check bool) "within width" true (h >= 0 && h < 32)
-  done
-
-let test_hash_indexed_independent () =
-  let collisions = ref 0 in
-  for x = 0 to 200 do
-    if Hashing.indexed ~bits:16 0 x = Hashing.indexed ~bits:16 1 x then incr collisions
-  done;
-  Alcotest.(check bool) "indexed hashes differ" true (!collisions < 10)
-
 (* --- Scanner ---------------------------------------------------------------- *)
 
 let test_scanner_idents_and_ints () =
@@ -225,12 +204,6 @@ let () =
             test_derive_adjacent_no_collisions;
         ]
         @ qsuite [ prop_prng_bits_in_range; prop_prng_int_in_range ] );
-      ( "hashing",
-        [
-          Alcotest.test_case "determinism" `Quick test_hash_determinism;
-          Alcotest.test_case "width" `Quick test_hash_width;
-          Alcotest.test_case "indexed independence" `Quick test_hash_indexed_independent;
-        ] );
       ( "scanner",
         [
           Alcotest.test_case "idents and ints" `Quick test_scanner_idents_and_ints;
