@@ -195,18 +195,27 @@ let config_to_json (c : config) : Report.json =
 let config_keys =
   match config_to_json (config ()) with Report.Obj fields -> List.map fst fields | _ -> []
 
-(* Strict: an unknown key, a mistyped value or [null] for a knob that
-   cannot be off is an [Error]; a missing key takes [config]'s default, and
-   [config] and [fault_config] judge the values.  The fault counts are
-   judged even with [faults] off, as the CLI judges its flags. *)
+(* The first key of [fields] that comes again later. *)
+let rec repeated_key = function
+  | [] -> None
+  | (k, _) :: rest -> if List.mem_assoc k rest then Some k else repeated_key rest
+
+(* Strict: an unknown or repeated key, a mistyped value or [null] for a
+   knob that cannot be off is an [Error]; a missing key takes [config]'s
+   default, and [config] and [fault_config] judge the values.  The fault
+   counts are judged even with [faults] off, as the CLI judges its
+   flags. *)
 let config_of_json (j : Report.json) : (config, string) result =
   let exception Mistyped of string in
   match j with
   | Report.Obj fields -> (
-    match List.find_opt (fun (k, _) -> not (List.mem k config_keys)) fields with
-    | Some (k, _) ->
+    match
+      (List.find_opt (fun (k, _) -> not (List.mem k config_keys)) fields, repeated_key fields)
+    with
+    | Some (k, _), _ ->
       Error (Printf.sprintf "unknown field %S (allowed: %s)" k (String.concat ", " config_keys))
-    | None -> (
+    | None, Some k -> Error (Printf.sprintf "repeated field %S" k)
+    | None, None -> (
       let get ?(nullable = false) conv what key =
         match List.assoc_opt key fields with
         | None -> None
@@ -255,12 +264,31 @@ let config_to_argv (c : config) : string list =
   @ opt (value "corpus") c.c_corpus_dir
   @ switch "sabotage-pass" c.c_sabotage_pass
 
+(* Whether the native toolchain is available, when [cfg] selects the
+   native family; without it, native trials run on the interpreted
+   fallback. *)
+let native_probe (cfg : config) =
+  match families_of_name cfg.c_substrate with
+  | Some families when List.mem Native families -> Some (Native_substrate.available ())
+  | Some _ | None -> None
+
 (* Whether a campaign can be checkpointed and resumed.  Coverage mode
-   cannot: its coverage map and corpus are not in the checkpoint. *)
+   cannot: its coverage map and corpus are not in the checkpoint.  Nor can
+   a native campaign without the toolchain: records taken on a machine
+   that has it must never blend with degraded ones. *)
 let resumable (cfg : config) =
   if cfg.c_coverage then
     Error "Campaign.run_resumable: coverage mode is incompatible with checkpoint/resume"
-  else Ok ()
+  else
+    match native_probe cfg with
+    | None | Some (Ok ()) -> Ok ()
+    | Some (Error reason) ->
+      Error
+        (Printf.sprintf
+           "substrate %S cannot be checkpointed or resumed here: the native toolchain is \
+            unavailable (%s); run without --checkpoint/--resume to accept the interpreted \
+            fallback"
+           cfg.c_substrate reason)
 
 (* Fault-mode verdict for one trial: how sensitive the program is to
    injected faults, whether the substrates stayed in lock-step under them,
@@ -1249,34 +1277,19 @@ let run_resumable ?checkpoint ?(resume = false) ?stop_after ?should_stop ?hook ?
     invalid_arg "Campaign.run_resumable: resume requires a checkpoint path";
   (match resumable cfg with Error msg when checkpoint <> None -> invalid_arg msg | _ -> ());
   (* Native-family degradation is judged once, up front, on the main
-     domain: a campaign may run degraded (closures standing in for the
-     native artifact, with a note in the report), but a *checkpointed or
-     resumed* campaign may not — records taken on a toolchain-equipped
-     machine must never blend with degraded ones, so the combination is
-     refused with a clear error instead. *)
-  let selection = Option.value (families_of_name cfg.c_substrate) ~default:[] in
-  let native_probe =
-    if List.mem Native selection then Some (Native_substrate.available ()) else None
-  in
+     domain: a campaign without a checkpoint may run degraded (closures
+     standing in for the native artifact, with a note in the report). *)
+  let native_probe = native_probe cfg in
   let notes =
     match native_probe with
     | None | Some (Ok ()) -> []
     | Some (Error reason) ->
-      if checkpoint <> None || resume then
-        raise
-          (Resume_error
-             (Printf.sprintf
-                "substrate %S cannot be checkpointed or resumed here: the native toolchain is \
-                 unavailable (%s); run without --checkpoint/--resume to accept the interpreted \
-                 fallback"
-                cfg.c_substrate reason))
-      else
-        [
-          Printf.sprintf
-            "native substrate unavailable (%s); native trials ran on the interpreted fallback \
-             (native-fallback@scc-inline)"
-            reason;
-        ]
+      [
+        Printf.sprintf
+          "native substrate unavailable (%s); native trials ran on the interpreted fallback \
+           (native-fallback@scc-inline)"
+          reason;
+      ]
   in
   (* crash records carry backtraces; recording is per-process and cheap *)
   Printexc.record_backtrace true;

@@ -1,7 +1,7 @@
 (* Reproduction of the paper's Fig. 6: the same pipeline description at the
    three optimization levels — version 1 (unoptimized: machine-code values
-   are runtime hash-table lookups and every construct is a helper-function
-   call), version 2 (after SCC propagation), version 3 (after function
+   are read at run time from the values map and every construct is a
+   helper-function call), version 2 (after SCC propagation), version 3 (after function
    inlining).  Renders the generated code and reports the size reduction. *)
 
 module Druzhba = Druzhba_core.Druzhba

@@ -8,96 +8,20 @@
    are a compiler bug that the case study in §5.2 of the paper found twice;
    [validate] detects exactly that class. *)
 
-(* The table: open addressing with linear probing over flat arrays.  Slot
-   [i] is empty when [hashes.(i) < 0]; otherwise it holds the pair
-   [keys.(i) = values.(i)], whose name hashes to [hashes.(i)] (never
-   negative).  The size is a power of two and the load stays at most 1/2,
-   so a probe run is short.  [remove] shifts the rest of its run back
-   instead of leaving a tombstone, so a lookup stops at the first empty
-   slot.  Nothing observable depends on the hash or the slot order:
-   [to_alist] and [pp] sort. *)
-type t = {
-  mutable keys : string array;
-  mutable hashes : int array;
-  mutable values : int array;
-  mutable count : int;
-}
+(* Keys compare with [String.equal] and hash with [String.hash], not with
+   the generic [Hashtbl]'s polymorphic [compare] and structural hash.
+   Nothing observable depends on the hash or the bucket order: [to_alist]
+   and [pp] sort. *)
+module Table = Hashtbl.Make (struct
+  type t = string
 
-(* Word-at-a-time hash of the whole name: one xor and one multiply per 8
-   bytes, the last word overlapping the one before it when the length is
-   not a multiple of 8; a name under 8 bytes is hashed byte by byte.  A
-   multiply only carries a difference upwards, so the finalizer folds the
-   high bits back down before the table masks off the low ones: names that
-   share a long prefix ("pipeline_stage_0_...") and differ in one digit
-   still spread.  The unchecked loads stay in bounds: every offset is at
-   most [n - 8]. *)
-external get64u : string -> int -> int64 = "%caml_string_get64u"
+  let equal = String.equal
+  let hash = String.hash
+end)
 
-let mult = 0x2127599bf4325c37
-let mult' = 0x1f58a0ea6d5cf36d
+type t = int Table.t
 
-let hash name =
-  let n = String.length name in
-  let h = ref (n * mult) in
-  if n < 8 then
-    for i = 0 to n - 1 do
-      h := (!h lxor Char.code (String.unsafe_get name i)) * mult
-    done
-  else begin
-    let last = n - 8 in
-    let i = ref 0 in
-    while !i < last do
-      h := (!h lxor Int64.to_int (get64u name !i)) * mult;
-      i := !i + 8
-    done;
-    h := (!h lxor Int64.to_int (get64u name last)) * mult
-  end;
-  let h = (!h lxor (!h lsr 32)) * mult' in
-  let h = (h lxor (h lsr 29)) * mult in
-  (h lxor (h lsr 32)) land max_int
-
-let with_capacity n =
-  let size = ref 16 in
-  while !size < 2 * n do
-    size := 2 * !size
-  done;
-  {
-    keys = Array.make !size "";
-    hashes = Array.make !size (-1);
-    values = Array.make !size 0;
-    count = 0;
-  }
-
-let empty () : t = with_capacity 0
-
-(* The slot holding [name], or the empty slot that ends its probe run. *)
-let rec slot hashes keys mask h name i =
-  let hi = Array.unsafe_get hashes i in
-  if hi < 0 || (hi = h && String.equal (Array.unsafe_get keys i) name) then i
-  else slot hashes keys mask h name ((i + 1) land mask)
-
-(* Binds [name], whose hash is [h], without checking it; doubles the size
-   first when the pair would push the load past 1/2. *)
-let rec replace t name h v =
-  let mask = Array.length t.hashes - 1 in
-  let i = slot t.hashes t.keys mask h name (h land mask) in
-  if t.hashes.(i) >= 0 then t.values.(i) <- v
-  else if 2 * (t.count + 1) > mask + 1 then begin
-    let bigger = with_capacity (t.count + 1) in
-    Array.iteri (fun j hj -> if hj >= 0 then replace bigger t.keys.(j) hj t.values.(j)) t.hashes;
-    t.keys <- bigger.keys;
-    t.hashes <- bigger.hashes;
-    t.values <- bigger.values;
-    replace t name h v
-  end
-  else begin
-    t.hashes.(i) <- h;
-    t.keys.(i) <- name;
-    t.values.(i) <- v;
-    t.count <- t.count + 1
-  end
-
-let iter f t = Array.iteri (fun i h -> if h >= 0 then f t.keys.(i) t.values.(i)) t.hashes
+let empty () : t = Table.create 64
 
 (* A name is representable iff emitting it with [to_string] and reading the
    result back with [parse] recovers the same binding.  The text format
@@ -120,11 +44,11 @@ let check_name name =
          name)
 
 let of_list pairs : t =
-  let t = with_capacity (List.length pairs) in
+  let t = Table.create (max 16 (List.length pairs)) in
   List.iter
     (fun (name, v) ->
       check_name name;
-      replace t name (hash name) v)
+      Table.replace t name v)
     pairs;
   t
 
@@ -158,74 +82,36 @@ let of_pairs pairs : (t, string) result =
            (String.concat ", " dups)))
 
 let to_alist (t : t) =
-  let acc = ref [] in
-  iter (fun k v -> acc := (k, v) :: !acc) t;
-  List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
+  Table.fold (fun k v acc -> (k, v) :: acc) t []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let copy (t : t) =
-  {
-    keys = Array.copy t.keys;
-    hashes = Array.copy t.hashes;
-    values = Array.copy t.values;
-    count = t.count;
-  }
+let copy = Table.copy
 
 let set (t : t) name v =
   check_name name;
-  replace t name (hash name) v
+  Table.replace t name v
 
-(* The slot holding [name], or -1. *)
-let index (t : t) name =
-  let h = hash name in
-  let mask = Array.length t.hashes - 1 in
-  let i = slot t.hashes t.keys mask h name (h land mask) in
-  if Array.unsafe_get t.hashes i < 0 then -1 else i
-
-let find_opt (t : t) name =
-  match index t name with -1 -> None | i -> Some (Array.unsafe_get t.values i)
+let find_opt (t : t) name = Table.find_opt t name
 
 exception Missing of string
 
-(* The per-[Mc] lookup of the unoptimized descriptions' hot loop, in the
-   interpreter and the closure backend alike: the paper's version-1 cost of
-   reading machine code as variables at run time, one hash of the whole
-   name and one probe run, comparing the stored hash and then the key, per
-   evaluation.  No option is built, so a hit allocates nothing. *)
+(* Called by the optimizer, the native emitter and the corpus mutator,
+   never from a tick: the interpreter and the closures bind each name they
+   read to a slot of their own values array when they are built (with
+   [find_opt]), so a version-1 read at run time is one array load. *)
 let find (t : t) name =
-  match index t name with -1 -> raise (Missing name) | i -> Array.unsafe_get t.values i
+  match Table.find_opt t name with Some v -> v | None -> raise (Missing name)
 
-let mem (t : t) name = index t name >= 0
+let remove (t : t) name = Table.remove t name
 
-(* Backward-shift deletion: each later entry of the run moves into the hole
-   unless its home slot lies cyclically in (hole, its slot], where moving
-   it would put it before its home. *)
-let remove (t : t) name =
-  match index t name with
-  | -1 -> ()
-  | i ->
-    let hashes = t.hashes and keys = t.keys and values = t.values in
-    let mask = Array.length hashes - 1 in
-    let hole = ref i and j = ref ((i + 1) land mask) in
-    while hashes.(!j) >= 0 do
-      let home = hashes.(!j) land mask in
-      if (!j - home) land mask >= (!j - !hole) land mask then begin
-        hashes.(!hole) <- hashes.(!j);
-        keys.(!hole) <- keys.(!j);
-        values.(!hole) <- values.(!j);
-        hole := !j
-      end;
-      j := (!j + 1) land mask
-    done;
-    hashes.(!hole) <- -1;
-    keys.(!hole) <- "";
-    t.count <- t.count - 1
+let mem (t : t) name = Table.mem t name
 
-let cardinal (t : t) = t.count
+let cardinal (t : t) = Table.length t
 
 (* Adds every pair of [extra], overriding existing names. *)
 let override (t : t) (extra : t) =
   let r = copy t in
-  iter (fun k v -> replace r k (hash k) v) extra;
+  Table.iter (fun k v -> Table.replace r k v) extra;
   r
 
 (* --- Text format ---------------------------------------------------------

@@ -47,11 +47,14 @@ val set : t -> string -> int -> unit
 val find_opt : t -> string -> int option
 
 exception Missing of string
-(** Raised by {!find} — and therefore by simulation of an unoptimized
-    description — when a required pair is absent. *)
+(** Raised by {!find} when a required pair is absent, and by simulation of
+    an unoptimized description when it reaches a pair the program lacked
+    when the executor was built. *)
 
 val find : t -> string -> int
-(** @raise Missing when the name is unbound. *)
+(** For building executors and for program transformations; no executor
+    calls it on a tick.
+    @raise Missing when the name is unbound. *)
 
 val remove : t -> string -> unit
 val mem : t -> string -> bool

@@ -16,12 +16,14 @@
    one bounds check and an array of arms.
 
    The cost model this preserves:
-   - version 1 closures still perform one machine-code lookup per [Mc] node
-     per evaluation, hashing the pair's whole name and comparing the key
-     each time (the paper's "machine code treated as variables at
-     runtime"); a helper argument that reads machine code is read once per
-     call, by value, as in the interpreter and the paper's Rust;
-   - version 2 closures have those lookups compiled away (SCC propagation);
+   - version 1 closures still read each machine-code value at run time, per
+     [Mc] node per evaluation, from the values array the program owns (the
+     paper's "machine code treated as variables at runtime"): the name is
+     bound to its slot at compile time, but the value, and the selector
+     chains and opcode dispatch it drives, stay on the tick path.  A helper
+     argument that reads machine code is read once per call, by value, as
+     in the interpreter and the paper's Rust;
+   - version 2 closures have those reads compiled away (SCC propagation);
    - version 3 differs from version 2 only by helper-call overhead, which is
      small once code is compiled — matching the paper's observation that
      inlining adds no significant runtime gain over SCC propagation. *)
@@ -190,12 +192,12 @@ let switch cells (e : Ir.expr) =
    the conditional chain), and every argument that reads machine code, is
    bound to a call-site cell that the call fills in parameter order; only
    a pure argument used at most once is substituted.  So an [Mc] argument
-   costs one hash lookup per call, not one per use, and a missing pair
+   costs one read per call, not one per use, and a missing pair
    raises [Machine_code.Missing] with the name the interpreter's
    call-by-value raises, whatever the mux selects. *)
 let rec compile_expr : type e.
-    Value.width -> Machine_code.t -> e body -> (string * int ref) list -> Ir.expr -> e -> int =
- fun bits mc body cells e ->
+    Value.width -> Mc_values.t -> e body -> (string * int ref) list -> Ir.expr -> e -> int =
+ fun bits mv body cells e ->
   match e with
   | Ir.Const n -> fun _ -> n
   | Ir.Var v -> (
@@ -209,10 +211,20 @@ let rec compile_expr : type e.
       match List.assoc_opt v scope with
       | Some i -> fun env -> Array.unsafe_get env.locals i
       | None -> raises (Interp.Unbound_variable v)))
-  | Ir.Mc name -> fun _ -> Machine_code.find mc name
-  | Ir.Trunc (Ir.Mc name) -> fun _ -> Value.mask bits (Machine_code.find mc name)
+  | Ir.Mc name -> (
+    match Mc_values.slot mv name with
+    | -1 -> raises (Machine_code.Missing name)
+    | i ->
+      let values = mv.Mc_values.values in
+      fun _ -> Array.unsafe_get values i)
+  | Ir.Trunc (Ir.Mc name) -> (
+    match Mc_values.slot mv name with
+    | -1 -> raises (Machine_code.Missing name)
+    | i ->
+      let values = mv.Mc_values.values in
+      fun _ -> Value.mask bits (Array.unsafe_get values i))
   | Ir.Trunc a ->
-    let ca = compile_expr bits mc body cells a in
+    let ca = compile_expr bits mv body cells a in
     fun env -> Value.mask bits (ca env)
   | Ir.Phv k -> (
     match body with
@@ -222,32 +234,32 @@ let rec compile_expr : type e.
     match body with
     | Alu _ -> fun env -> Array.unsafe_get env.state_read k
     | Mux _ -> invalid_arg "Compile: helper bodies cannot access PHV or state")
-  | Ir.Unop (op, a) -> unop bits op (compile_expr bits mc body cells a)
+  | Ir.Unop (op, a) -> unop bits op (compile_expr bits mv body cells a)
   | Ir.Binop (op, a, b) -> (
     match (cell_of cells a, cell_of cells b) with
     | Some ca, Some cb -> binop_cells bits op ca cb
     | _ ->
-      let ca = compile_expr bits mc body cells a in
-      let cb = compile_expr bits mc body cells b in
+      let ca = compile_expr bits mv body cells a in
+      let cb = compile_expr bits mv body cells b in
       binop bits op ca cb)
   | Ir.Cond (c, a, b) -> (
     match switch cells e with
     | Some (cell, arms, default) ->
-      let arms = Array.of_list (List.map (compile_expr bits mc body cells) arms) in
-      let cd = compile_expr bits mc body cells default in
+      let arms = Array.of_list (List.map (compile_expr bits mv body cells) arms) in
+      let cd = compile_expr bits mv body cells default in
       let n = Array.length arms in
       (* a value outside [0, n), negative ones included, takes the default *)
       fun env ->
         let sel = !cell in
         if sel >= 0 && sel < n then (Array.unsafe_get arms sel) env else cd env
     | None ->
-      let cc = compile_cond bits mc body cells c in
-      let ca = compile_expr bits mc body cells a in
-      let cb = compile_expr bits mc body cells b in
+      let cc = compile_cond bits mv body cells c in
+      let ca = compile_expr bits mv body cells a in
+      let cb = compile_expr bits mv body cells b in
       fun env -> if cc env then ca env else cb env)
   | Ir.Call (name, args) -> (
     match body with
-    | Alu (helpers, _) -> compile_call bits mc body helpers cells name args
+    | Alu (helpers, _) -> compile_call bits mv body helpers cells name args
     | Mux _ -> invalid_arg "Compile: nested helper calls are not generated by dgen")
 
 (* Compiles a [Cond] or [If] condition to [Value.is_true] of its value.  A
@@ -257,13 +269,13 @@ let rec compile_expr : type e.
    short to switch on ([if ctrl == 0 then ... else ...]) are built from
    the others. *)
 and compile_cond : type e.
-    Value.width -> Machine_code.t -> e body -> (string * int ref) list -> Ir.expr -> e -> bool =
- fun bits mc body cells e ->
+    Value.width -> Mc_values.t -> e body -> (string * int ref) list -> Ir.expr -> e -> bool =
+ fun bits mv body cells e ->
   let operands a b =
     (* [a] first: a tuple would compile [b] first and change which unbound
        name compilation reports *)
-    let ca = compile_expr bits mc body cells a in
-    (ca, compile_expr bits mc body cells b)
+    let ca = compile_expr bits mv body cells a in
+    (ca, compile_expr bits mv body cells b)
   in
   match e with
   | Ir.Var v when List.mem_assoc v cells ->
@@ -273,7 +285,7 @@ and compile_cond : type e.
     let cell = List.assoc v cells in
     fun _ -> !cell = k
   | Ir.Binop (Ir.Eq, a, Ir.Const k) ->
-    let ca = compile_expr bits mc body cells a in
+    let ca = compile_expr bits mv body cells a in
     fun env -> ca env = k
   | Ir.Binop (Ir.Eq, a, b) ->
     let ca, cb = operands a b in
@@ -294,44 +306,53 @@ and compile_cond : type e.
     let ca, cb = operands a b in
     fun env -> let b = cb env in ca env >= b
   | _ ->
-    let ce = compile_expr bits mc body cells e in
+    let ce = compile_expr bits mv body cells e in
     fun env -> Value.is_true (ce env)
 
 and compile_call :
-    Value.width -> Machine_code.t -> cenv body -> (string, Ir.helper) Hashtbl.t ->
+    Value.width -> Mc_values.t -> cenv body -> (string, Ir.helper) Hashtbl.t ->
     (string * int ref) list -> string -> Ir.expr list -> cenv -> int =
- fun bits mc body helpers cells name args ->
+ fun bits mv body helpers cells name args ->
   match Hashtbl.find_opt helpers name with
   | None -> raises (Invalid_argument (Printf.sprintf "Interp: unknown helper '%s'" name))
   | Some h when List.compare_lengths h.Ir.h_params args <> 0 ->
     (* the arguments before the mismatch run first, in order *)
     let before = List.filteri (fun i _ -> i < List.length h.Ir.h_params) args in
-    let evaluated = List.map (compile_expr bits mc body cells) before in
+    let evaluated = List.map (compile_expr bits mv body cells) before in
     fun env ->
       List.iter (fun carg -> ignore (carg env)) evaluated;
       invalid_arg "List.fold_left2"
-  | Some h -> compile_known_call bits mc body cells h args
+  | Some h -> compile_known_call bits mv body helpers cells h args
 
 and compile_known_call :
-    Value.width -> Machine_code.t -> cenv body -> (string * int ref) list -> Ir.helper ->
-    Ir.expr list -> cenv -> int =
- fun bits mc body cells h args ->
+    Value.width -> Mc_values.t -> cenv body -> (string, Ir.helper) Hashtbl.t ->
+    (string * int ref) list -> Ir.helper -> Ir.expr list -> cenv -> int =
+ fun bits mv body helpers cells h args ->
   (* Each parameter is substituted or bound to a cell.  Of two sharing a
      name the last binds, and an earlier one's argument runs into a cell
      no name reads, for the errors it raises, unless it is pure.  An
      argument that names a parameter (a caller's local called "ctrl") is
-     not substituted, since the parameter would capture the name. *)
+     not substituted, since the parameter would capture the name.  A body
+     that reads a name other than its parameters gets cells only, and
+     sees nothing but them: the interpreter runs it in a frame of its own,
+     where that name is unbound, not the caller's local. *)
   let names_param arg =
     Ir.fold_expr
       (fun found e -> found || match e with Ir.Var v -> List.mem v h.Ir.h_params | _ -> false)
       false arg
   in
+  let rec is_param v = function [] -> false | p :: rest -> String.equal p v || is_param v rest in
+  let closed =
+    Ir.fold_expr
+      (fun closed e -> closed && match e with Ir.Var v -> is_param v h.Ir.h_params | _ -> true)
+      true h.Ir.h_body
+  in
   let rec bind = function
     | [] -> []
     | (p, arg) :: rest ->
       let visible = not (List.mem_assoc p rest) in
-      if visible && occurrences p h.Ir.h_body <= 1 && pure arg && not (names_param arg) then
-        `Subst (p, arg) :: bind rest
+      if closed && visible && occurrences p h.Ir.h_body <= 1 && pure arg && not (names_param arg)
+      then `Subst (p, arg) :: bind rest
       else if visible || not (pure arg) then `Cell (p, visible, arg, ref 0) :: bind rest
       else bind rest
   in
@@ -344,9 +365,12 @@ and compile_known_call :
   in
   let writes =
     Array.of_list
-      (List.map (fun (_, _, arg, cell) -> (cell, compile_expr bits mc body cells arg)) eager)
+      (List.map (fun (_, _, arg, cell) -> (cell, compile_expr bits mv body cells arg)) eager)
   in
-  let cbody = compile_expr bits mc body (site_cells @ cells) inlined in
+  let cbody =
+    if closed then compile_expr bits mv body (site_cells @ cells) inlined
+    else compile_expr bits mv (Alu (helpers, [])) site_cells inlined
+  in
   (* straight-line writes for the usual one to three cells *)
   match writes with
   | [||] -> cbody
@@ -380,7 +404,7 @@ and compile_known_call :
    follows it in its block; a branch's locals go out of scope after its
    [If], so the two arms (and what follows) reuse slots, as in the
    interpreter. *)
-let compile_stmts bits mc helpers (stmts : Ir.stmt list) : (cenv -> unit) array * int =
+let compile_stmts bits mv helpers (stmts : Ir.stmt list) : (cenv -> unit) array * int =
   let frame = ref 0 in
   let rec block scope depth = function
     | [] -> []
@@ -388,21 +412,21 @@ let compile_stmts bits mc helpers (stmts : Ir.stmt list) : (cenv -> unit) array 
       let body = Alu (helpers, scope) in
       match s with
       | Ir.Let (x, e) ->
-        let ce = compile_expr bits mc body [] e in
+        let ce = compile_expr bits mv body [] e in
         frame := max !frame (depth + 1);
         (fun env -> env.locals.(depth) <- ce env) :: block ((x, depth) :: scope) (depth + 1) rest
       | Ir.Store (k, e) ->
-        let ce = compile_expr bits mc body [] e in
+        let ce = compile_expr bits mv body [] e in
         (fun env -> env.state.(k) <- ce env) :: block scope depth rest
       | Ir.Return e ->
-        let ce = compile_expr bits mc body [] e in
+        let ce = compile_expr bits mv body [] e in
         let run env =
           env.ret <- ce env;
           raise_notrace Return_signal
         in
         run :: block scope depth rest
       | Ir.If (c, a, b) ->
-        let cc = compile_cond bits mc body [] c in
+        let cc = compile_cond bits mv body [] c in
         let ca = Array.of_list (block scope depth a) in
         let cb = Array.of_list (block scope depth b) in
         let run env =
@@ -416,9 +440,9 @@ let compile_stmts bits mc helpers (stmts : Ir.stmt list) : (cenv -> unit) array 
   let compiled = Array.of_list (block [] 0 stmts) in
   (compiled, !frame)
 
-let compile_alu bits mc helpers (a : Ir.alu) : compiled_alu =
-  let stmts, n_locals = compile_stmts bits mc helpers a.Ir.a_body in
-  let default = compile_expr bits mc (Alu (helpers, [])) [] a.Ir.a_default_output in
+let compile_alu bits mv helpers (a : Ir.alu) : compiled_alu =
+  let stmts, n_locals = compile_stmts bits mv helpers a.Ir.a_body in
+  let default = compile_expr bits mv (Alu (helpers, [])) [] a.Ir.a_default_output in
   let n_state = max 1 a.Ir.a_state_size in
   let env =
     {
@@ -448,33 +472,39 @@ let compile_alu bits mc helpers (a : Ir.alu) : compiled_alu =
   { ca_name = a.Ir.a_name; ca_state_size = a.Ir.a_state_size; ca_env = env; ca_run = run }
 
 (* Compiles output mux [name], whose helper is [h].  In version 1 its
-   "ctrl" parameter takes the mux's machine-code pair, fetched at every tick
-   like the interpreter does, through a call-site cell. *)
-let compile_mux bits mc name (h : Ir.helper) : helper_fn =
+   "ctrl" parameter takes the value of the mux's machine-code pair, read at
+   every tick like the interpreter does, through a call-site cell. *)
+let compile_mux bits mv name (h : Ir.helper) : helper_fn =
   let body = Mux h.Ir.h_params in
   if List.mem "ctrl" h.Ir.h_params then begin
     let ctrl = ref 0 in
-    let f = compile_expr bits mc body [ ("ctrl", ctrl) ] h.Ir.h_body in
-    fun args ->
-      ctrl := Machine_code.find mc name;
-      f args
+    let f = compile_expr bits mv body [ ("ctrl", ctrl) ] h.Ir.h_body in
+    match Mc_values.slot mv name with
+    | -1 -> raises (Machine_code.Missing name)
+    | i ->
+      let values = mv.Mc_values.values in
+      fun args ->
+        ctrl := Array.unsafe_get values i;
+        f args
   end
-  else compile_expr bits mc body [] h.Ir.h_body
+  else compile_expr bits mv body [] h.Ir.h_body
 
 (* Compiles a description against a machine-code program.  The result is
-   self-contained: per-ALU state lives inside the compiled ALUs. *)
+   self-contained: per-ALU state lives inside the compiled ALUs, and the
+   machine-code values it reads in its own array. *)
 let compile (d : Ir.t) ~mc : t =
+  let mv = Mc_values.create mc in
   let bits = d.Ir.d_bits in
   let helpers = d.Ir.d_helpers in
   let stages =
     Array.map
       (fun (st : Ir.stage) ->
         {
-          cs_stateless = Array.map (compile_alu bits mc helpers) st.Ir.s_stateless;
-          cs_stateful = Array.map (compile_alu bits mc helpers) st.Ir.s_stateful;
+          cs_stateless = Array.map (compile_alu bits mv helpers) st.Ir.s_stateless;
+          cs_stateful = Array.map (compile_alu bits mv helpers) st.Ir.s_stateful;
           cs_output_muxes =
             Array.map
-              (fun name -> compile_mux bits mc name (Ir.find_helper d name))
+              (fun name -> compile_mux bits mv name (Ir.find_helper d name))
               st.Ir.s_output_muxes;
         })
       d.Ir.d_stages

@@ -4,17 +4,23 @@
    it executes the generated pipeline description.  The description is
    resolved once per context, when an engine is created: every helper call
    points straight at its resolved helper (one per helper, shared by every
-   call site), every variable becomes a slot in a frame, and every output
-   mux records its helper and which of its parameters take the machine-code
-   control.  Frames live on one int stack per context that grows only when
-   a deeper frame is first needed, so a steady-state tick allocates nothing.
+   call site), every variable becomes a slot in a frame, every machine-code
+   name becomes a slot of the context's values array ({!Mc_values}), and
+   every output mux records its helper, which of its parameters take the
+   machine-code control, and that control's slot.  Frames live on one int
+   stack per context that grows only when a deeper frame is first needed,
+   so a steady-state tick allocates nothing.
 
-   A tick then costs the resolved nodes it walks plus one machine-code
-   lookup per [Mc] use (and per output-mux control), each hashing the
-   pair's whole name and comparing the key in {!Machine_code}'s table —
-   the runtime lookups of the paper's version 1, which SCC propagation
-   removes and inlining shortens further, so the relative runtimes of the
-   three optimization levels keep the shape of the paper's Table 1.
+   A tick then costs the resolved nodes it walks plus one read of the
+   values array per [Mc] use (and per output-mux control) — the paper's
+   version 1, whose generated code reads each machine-code value at run
+   time from the map it is given.  SCC propagation removes those reads and
+   the selector chains and opcode dispatch that consume them, and inlining
+   removes the helper frames, so the relative runtimes of the three
+   optimization levels keep the shape of the paper's Table 1.  The values
+   are copied from the program when a name is resolved, so a context reads
+   the machine code it was built with: a later [Machine_code.set] or
+   [remove] does not reach it.
 
    Resolution never fails.  An unknown helper, an unbound variable, a
    missing machine-code pair or an arity mismatch raises when a tick
@@ -40,13 +46,15 @@ type probe = {
 (* --- Resolved form ------------------------------------------------------------ *)
 
 (* [Ir.expr] with names bound.  A [Slot] is an offset into the current
-   frame; [Unbound] and [Unknown_call] keep a failed resolution for the
-   evaluation that reaches it. *)
+   frame and an [Mc] one into the context's values; [Unbound], [Absent]
+   and [Unknown_call] keep a failed resolution for the evaluation that
+   reaches it. *)
 type expr =
   | Const of int
   | Slot of int (* helper parameter (by position) or ALU local (by scope depth) *)
   | Unbound of string
-  | Mc of string
+  | Mc of int
+  | Absent of string (* a machine-code pair the program lacks *)
   | Trunc of expr
   | Phv of int
   | State of int
@@ -74,17 +82,18 @@ type alu = {
 }
 
 (* [m_ctrl.(i)]: parameter [i] is named "ctrl", so when no argument fills
-   it the control value is fetched from machine code under the mux's name
-   (unoptimized descriptions). *)
+   it the control value is read from the values slot [m_slot], bound to
+   the mux's own name (unoptimized descriptions); [m_slot] is -1 when the
+   program lacks that pair or no parameter is a control. *)
 type mux =
-  | Mux of { m_name : string; m_helper : helper; m_ctrl : bool array }
+  | Mux of { m_name : string; m_helper : helper; m_ctrl : bool array; m_slot : int }
   | Unknown_mux of string
 
 type stage = { st_stateless : alu array; st_stateful : alu array; st_muxes : mux array }
 
 type ctx = {
   bits : Value.width;
-  mc : Machine_code.t;
+  mc : Mc_values.t;
   helpers : (string, Ir.helper) Hashtbl.t;
   resolved : (string, helper) Hashtbl.t;
   (* Frame stack.  A frame occupies [fp, fp + size); callers pass the first
@@ -103,7 +112,7 @@ type ctx = {
 let create ~bits ~mc helpers =
   {
     bits;
-    mc;
+    mc = Mc_values.create mc;
     helpers;
     resolved = Hashtbl.create 64;
     stack = Array.make 64 0;
@@ -125,7 +134,7 @@ let rec resolve_expr ctx scope (e : Ir.expr) : expr =
   match e with
   | Ir.Const n -> Const n
   | Ir.Var x -> ( match List.assoc_opt x scope with Some i -> Slot i | None -> Unbound x)
-  | Ir.Mc name -> Mc name
+  | Ir.Mc name -> ( match Mc_values.slot ctx.mc name with -1 -> Absent name | i -> Mc i)
   | Ir.Trunc a -> Trunc (resolve_expr ctx scope a)
   | Ir.Phv k -> Phv k
   | Ir.State k -> State k
@@ -188,12 +197,9 @@ let resolve_mux ctx name =
   | None -> Unknown_mux name
   | Some m_helper ->
     let params = (Hashtbl.find ctx.helpers name).Ir.h_params in
-    Mux
-      {
-        m_name = name;
-        m_helper;
-        m_ctrl = Array.of_list (List.map (fun p -> String.equal p "ctrl") params);
-      }
+    let m_ctrl = Array.of_list (List.map (fun p -> String.equal p "ctrl") params) in
+    let m_slot = if Array.mem true m_ctrl then Mc_values.slot ctx.mc name else -1 in
+    Mux { m_name = name; m_helper; m_ctrl; m_slot }
 
 let resolve_stage ctx (st : Ir.stage) =
   {
@@ -241,7 +247,8 @@ let rec eval_in ctx ~phv ~state fp sp (e : expr) =
   | Const n -> n
   | Slot i -> Array.unsafe_get ctx.stack (fp + i)
   | Unbound name -> raise (Unbound_variable name)
-  | Mc name -> Machine_code.find ctx.mc name
+  | Mc i -> Array.unsafe_get ctx.mc.Mc_values.values i
+  | Absent name -> raise (Machine_code.Missing name)
   | Trunc a -> Value.mask ctx.bits (eval_in ctx ~phv ~state fp sp a)
   | Phv k -> Array.unsafe_get phv k
   | State k -> Array.unsafe_get state k
@@ -358,12 +365,12 @@ let run_alu ctx (alu : alu) ~phv ~state =
    scratch array ([stateless outs; stateful outs; new state_0s; old
    container value] — the engine reuses one such array per stage).
    Parameters bind positionally; a "ctrl" parameter past the arguments
-   (unoptimized description) gets the control value fetched from machine
-   code under the mux's own name. *)
+   (unoptimized description) gets the value of the mux's own machine-code
+   pair. *)
 let run_mux ctx (m : mux) ~(args : int array) ~n_args =
   match m with
   | Unknown_mux name -> invalid_arg (Printf.sprintf "Interp: unknown output mux '%s'" name)
-  | Mux { m_name; m_helper; m_ctrl } ->
+  | Mux { m_name; m_helper; m_ctrl; m_slot } ->
     let arity = m_helper.h_arity in
     if arity > Array.length ctx.stack then grow ctx arity;
     let stack = ctx.stack in
@@ -371,7 +378,8 @@ let run_mux ctx (m : mux) ~(args : int array) ~n_args =
     for i = n_args to arity - 1 do
       if not (Array.unsafe_get m_ctrl i) then
         invalid_arg (Printf.sprintf "Interp: output mux '%s' has too many parameters" m_name);
-      let ctrl = Machine_code.find ctx.mc m_name in
+      if m_slot < 0 then raise (Machine_code.Missing m_name);
+      let ctrl = Array.unsafe_get ctx.mc.Mc_values.values m_slot in
       if ctx.probe_on then (
         match ctx.probe with
         | Some pr -> pr.pr_mux ~mux:m_name ~ctrl

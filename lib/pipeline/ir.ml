@@ -3,8 +3,8 @@
    This is the OCaml analogue of dgen's generated Rust code (paper §3.2,
    Fig. 6): a set of helper functions (one per mux / opcode construct) plus
    one function body per ALU.  The unoptimized description (version 1)
-   contains [Mc] nodes — runtime lookups into the machine-code hash table —
-   at helper call sites; SCC propagation (version 2) replaces them with
+   contains [Mc] nodes — machine-code values read at run time, as the
+   paper's Rust reads its values map — at helper call sites; SCC propagation (version 2) replaces them with
    constants and folds the helpers' bodies; inlining (version 3) removes the
    calls entirely. *)
 

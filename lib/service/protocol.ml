@@ -173,7 +173,8 @@ let dechunk (s : string) : string =
                                the campaign config codec, plus "files",
                                "chaos_kill_after" and "chaos_kill_file"; a
                                config that cannot be checkpointed
-                               (coverage mode) is refused
+                               (coverage mode, or the native family
+                               without its toolchain) is refused
    {"kind": "directed",        replay a witness file (machine-code values +
     "witnesses": "...", ...}   ALU names + program specs in the established
                                druzhba-witnesses/1 format); deterministic,

@@ -546,6 +546,41 @@ let test_duplicate_parameter_last_wins () =
       ("closures", fun desc ~mc ~inputs -> Compiled.run desc ~mc ~inputs);
     ]
 
+(* A helper body runs in its own scope: a name it reads but does not bind
+   is unbound there, even where its caller has a local of that name. *)
+let test_lazy_helper_free_name () =
+  let call helper args =
+    let desc, mc =
+      with_stateful_body
+        (on_seven [ Ir.Let ("x", Ir.Const 7); Ir.Store (0, Ir.Call (helper.Ir.h_name, args)) ])
+    in
+    let helpers = Hashtbl.copy desc.Ir.d_helpers in
+    Hashtbl.replace helpers helper.Ir.h_name helper;
+    ({ desc with Ir.d_helpers = helpers }, mc)
+  in
+  let free = { Ir.h_name = "free"; h_params = []; h_body = Ir.Var "x"; h_ctrl = None } in
+  (* a parameter, bound to the caller's [x], beside the free [x] *)
+  let shift =
+    {
+      Ir.h_name = "shift";
+      h_params = [ "a" ];
+      h_body = Ir.Binop (Ir.Add, Ir.Var "a", Ir.Var "x");
+      h_ctrl = None;
+    }
+  in
+  List.iter
+    (fun (exec, run) ->
+      List.iter
+        (fun (helper, args) ->
+          let desc, mc = call helper args in
+          run desc ~mc [ 1; 2 ];
+          Alcotest.check_raises
+            (Printf.sprintf "%s: %s, branch taken" exec helper.Ir.h_name)
+            (Interp.Unbound_variable "x")
+            (fun () -> run desc ~mc [ 7 ]))
+        [ (free, []); (shift, [ Ir.Var "x" ]) ])
+    executors
+
 (* A caller's name is the caller's, not a parameter's: a packet field
    called [ctrl] passed to [Opt] reaches the Opt helper's argument, whatever
    the helper's own "ctrl" control holds. *)
@@ -656,6 +691,8 @@ let test_faults_substrates_agree_and_replay_clean () =
 (* --- Substrate interface --------------------------------------------------------- *)
 
 module Substrate = Druzhba_dsim.Substrate
+module Native_substrate = Druzhba_dsim.Native_substrate
+module Optimizer = Druzhba_optimizer.Optimizer
 module Drmt_substrate = Druzhba_dsim.Drmt_substrate
 module Sim = Druzhba_drmt.Sim
 module P4 = Druzhba_drmt.P4
@@ -698,6 +735,55 @@ let test_substrate_rmt_adapters_agree () =
   Substrate.load_state compiled [];
   check_same_run "after state reload" (run_into_trace engine ~inputs)
     (run_into_trace compiled ~inputs)
+
+(* Every executor reads the machine code it was built with.  Each is built
+   at every optimization level; then every pair of the table changes value
+   or goes, and two hundred more are added, so the table grows.  Each run
+   still equals the run on the unmutated table.  The native module joins
+   when the toolchain is available. *)
+let test_executors_keep_built_machine_code () =
+  let desc = gen ~depth:2 ~width:2 ~bits:8 ~stateful:"pred_raw" () in
+  let original = Fuzz.random_mc (Prng.create 17) desc in
+  let inputs = Traffic.phvs (Traffic.create ~seed:19 ~width:2 ~bits:8) 40 in
+  let native =
+    match Native_substrate.available () with
+    | Error _ -> []
+    | Ok () ->
+      [
+        ( "native",
+          fun d ~mc ->
+            match Native_substrate.create d ~mc with
+            | Ok packed -> packed
+            | Error reason -> Alcotest.failf "native build failed: %s" reason );
+      ]
+  in
+  let executors =
+    [
+      ("interpreter", fun d ~mc -> Substrate.of_engine d ~mc);
+      ("closures", fun d ~mc -> Substrate.of_compiled (Compile.compile d ~mc));
+    ]
+    @ native
+  in
+  List.iter
+    (fun level ->
+      let d = Optimizer.apply ~level ~mc:original desc in
+      List.iter
+        (fun (exec, build) ->
+          let expected = run_into_trace (build d ~mc:(Machine_code.copy original)) ~inputs in
+          let mc = Machine_code.copy original in
+          let built = build d ~mc in
+          List.iteri
+            (fun i (name, v) ->
+              if i mod 3 = 0 then Machine_code.remove mc name else Machine_code.set mc name (v + 1))
+            (Machine_code.to_alist mc);
+          for i = 0 to 199 do
+            Machine_code.set mc (Printf.sprintf "added_%d" i) i
+          done;
+          check_same_run
+            (Printf.sprintf "%s@%s" exec (Optimizer.level_name level))
+            expected (run_into_trace built ~inputs))
+        executors)
+    [ Optimizer.Unoptimized; Optimizer.Scc; Optimizer.Scc_inline ]
 
 let drmt_test_program =
   P4.parse
@@ -895,6 +981,7 @@ let () =
             test_duplicate_parameter_last_wins;
           Alcotest.test_case "argument named like a parameter" `Quick
             test_argument_named_like_parameter;
+          Alcotest.test_case "helper reads no caller local" `Quick test_lazy_helper_free_name;
         ] );
       ( "probe",
         [ Alcotest.test_case "pre-order branch sites" `Quick test_probe_branch_sites ] );
@@ -919,6 +1006,8 @@ let () =
             test_debugger_on_compiled_substrate;
           Alcotest.test_case "debugger drives the dRMT substrate" `Quick
             test_debugger_on_drmt_substrate;
+          Alcotest.test_case "executors read the machine code they were built with" `Quick
+            test_executors_keep_built_machine_code;
         ] );
       ( "verification",
         [

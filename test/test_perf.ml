@@ -75,8 +75,8 @@ let test_steady_state_allocation (bm : Spec.benchmark) () =
    resolves the description once (calls point at their helpers, variables
    are frame slots, output muxes know their helpers), and frames live on
    the engine's preallocated stack, so a tick neither hashes a helper name
-   nor builds an environment.  Only [Mc] nodes still pay a hash lookup,
-   which allocates nothing. *)
+   nor builds an environment.  Only [Mc] nodes still read machine code,
+   from the engine's values array, which allocates nothing. *)
 let test_interpreter_steady_state_allocation (bm : Spec.benchmark) () =
   let desc, mc, init = setup bm in
   let inputs =

@@ -293,6 +293,43 @@ let test_codec_rows_submission () =
       | Error e, false -> Alcotest.failf "%s: refused: %s" key e)
     codec_rows
 
+(* A repeated key is refused and named, by the codec and by a submission,
+   as an unknown one is: the codec does not pick one of the two values. *)
+let test_codec_repeated_key () =
+  let named what = function
+    | Ok _ -> Alcotest.failf "%s: a repeated key was accepted" what
+    | Error e ->
+      Alcotest.(check bool) (what ^ ": names the key") true
+        (contains ~affix:{|repeated field "trials"|} e)
+  in
+  named "codec" (Result.bind (Report.parse {|{"trials": 5, "trials": 7}|}) Campaign.config_of_json);
+  named "submission"
+    (Result.map ignore (parse_sub {|{"kind":"campaign","trials":5,"seed":1,"trials":7}|}))
+
+(* Without the native toolchain a native campaign cannot be checkpointed:
+   [Campaign.resumable], which the CLI and serve both ask, refuses it with
+   the reason, and serve answers the submission with that error.  The
+   toolchain is switched off in-process through DRUZHBA_NATIVE_DISABLE,
+   which is restored afterwards. *)
+let test_native_refused_without_toolchain () =
+  let var = "DRUZHBA_NATIVE_DISABLE" in
+  let saved = Option.value (Sys.getenv_opt var) ~default:"" in
+  Unix.putenv var "1";
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv var saved)
+    (fun () ->
+      let refusal = "native toolchain is unavailable" in
+      (match Campaign.resumable (Campaign.config ~substrate:"native" ()) with
+      | Ok () -> Alcotest.fail "a native campaign is resumable without the toolchain"
+      | Error e ->
+        Alcotest.(check bool) "resumable names the reason" true (contains ~affix:refusal e));
+      (match parse_sub {|{"kind":"campaign","substrate":"native","trials":4}|} with
+      | Ok _ -> Alcotest.fail "a native submission was accepted without the toolchain"
+      | Error e -> Alcotest.(check bool) "submission refused" true (contains ~affix:refusal e));
+      match parse_sub {|{"kind":"campaign","substrate":"all","trials":4}|} with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "a campaign without a native family was refused: %s" e)
+
 let test_codec_rows_cli () =
   let dir = fresh_dir "druzhba-codec" in
   Fun.protect
@@ -895,6 +932,9 @@ let () =
           Alcotest.test_case "the CLI checkpoints the codec's config" `Quick test_codec_rows_cli;
           Alcotest.test_case "a version-2 checkpoint is refused" `Quick
             test_v2_checkpoint_refused;
+          Alcotest.test_case "a repeated key is refused" `Quick test_codec_repeated_key;
+          Alcotest.test_case "a native campaign needs the toolchain" `Quick
+            test_native_refused_without_toolchain;
         ] );
       ( "supervisor",
         [ Alcotest.test_case "bounded exponential backoff" `Quick test_backoff ] );

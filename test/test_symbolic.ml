@@ -128,7 +128,7 @@ let helper_call e =
    ([call] on [helpers], from {!helper_call}), whose value [expected_call]
    the interpreter gives. *)
 let closure_evals bits e ~phv ~state ~expected ~helpers ~call ~expected_call =
-  let mc = Machine_code.of_list [ ("mux", phv.(3)) ] in
+  let mc = Druzhba_pipeline.Mc_values.create (Machine_code.of_list [ ("mux", phv.(3)) ]) in
   let alu ?(helpers = Hashtbl.create 0) body =
     let c =
       Compile.compile_alu bits mc helpers
