@@ -63,11 +63,11 @@ let table1_tests () =
             (* engine and output buffer preallocated outside the timed body:
                the benchmark measures the zero-allocation steady-state tick
                path, not construction or trace freezing *)
-            let t = Compiled.create c in
+            let t = Substrate.of_compiled ~init c in
             let buf = Trace.Buffer.create ~width:bm.Spec.bm_width ~capacity:bench_phvs in
             Test.make
               ~name:(Printf.sprintf "%s/%s" bm.Spec.bm_name level)
-              (Staged.stage (fun () -> Compiled.run_into ~init t ~inputs buf)))
+              (Staged.stage (fun () -> Substrate.run_into t ~inputs buf)))
           [ ("unopt", desc); ("scc", v2); ("scc+inline", v3) ])
       Spec.all
   in

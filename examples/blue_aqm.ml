@@ -39,7 +39,7 @@ let () =
       let v3 = Optimizer.inline_functions v2 in
       let measure d =
         let c = Compile.compile d ~mc in
-        time_ms (fun () -> Compiled.run_compiled ~init c ~inputs)
+        time_ms (fun () -> Substrate.run (Substrate.of_compiled ~init c) ~inputs)
       in
       Fmt.pr "50000 PHVs: unoptimized %.0f ms | scc %.0f ms | scc+inline %.0f ms@.@."
         (measure desc) (measure v2) (measure v3))

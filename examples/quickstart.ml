@@ -51,7 +51,7 @@ let () =
 
   (* 4. Simulate 25 PHVs and watch the counter wrap around. *)
   let inputs = Traffic.phvs (Traffic.create ~seed:7 ~width:1 ~bits:32) 25 in
-  let trace = Engine.run optimized ~mc ~inputs in
+  let trace = Substrate.run (Substrate.of_engine optimized ~mc) ~inputs in
   Fmt.pr "counter values leaving the pipeline:@.";
   List.iteri (fun i out -> Fmt.pr "%s%d" (if i = 0 then "  " else " ") out.(0)) trace.Trace.outputs;
   Fmt.pr "@.";
@@ -62,6 +62,6 @@ let () =
 
   (* 5. The same trace on the unoptimized description: identical behaviour,
      the optimization only changes how fast dsim gets there. *)
-  let trace_v1 = Engine.run desc ~mc ~inputs in
+  let trace_v1 = Substrate.run (Substrate.of_engine desc ~mc) ~inputs in
   Fmt.pr "unoptimized description produces the same trace: %b@."
     (trace_v1.Trace.outputs = trace.Trace.outputs)

@@ -42,6 +42,7 @@ module Interp = Druzhba_pipeline.Interp
 module Dataflow = Druzhba_analysis.Dataflow
 module Value = Druzhba_util.Value
 module Engine = Druzhba_dsim.Engine
+module Driver = Druzhba_dsim.Driver
 module Trace = Druzhba_dsim.Trace
 module Substrate = Druzhba_dsim.Substrate
 module Drmt_substrate = Druzhba_dsim.Drmt_substrate
@@ -148,7 +149,7 @@ let of_rmt_trial ?budget ~shape ~(desc : Ir.t) ~mc ~inputs () : t =
   let engine = Engine.create desc ~mc in
   Engine.instrument engine (Some probe);
   let buf = Trace.Buffer.create ~width ~capacity:(List.length inputs) in
-  Engine.run_into ?budget engine ~inputs buf;
+  Driver.run_into ?budget engine.Engine.driver ~inputs buf;
   !acc
 
 (* Collects the coverage of one dRMT trial: the scheduled DAG shape

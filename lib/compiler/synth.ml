@@ -28,7 +28,7 @@ module Machine_code = Druzhba_machine_code.Machine_code
 module Ir = Druzhba_pipeline.Ir
 module Dgen = Druzhba_pipeline.Dgen
 module Names = Druzhba_pipeline.Names
-module Engine = Druzhba_dsim.Engine
+module Substrate = Druzhba_dsim.Substrate
 module Phv = Druzhba_dsim.Phv
 
 type problem = {
@@ -214,7 +214,9 @@ let synthesize (p : problem) : outcome =
        of 2048 inputs, so near-miss candidates that diverge on rare inputs
        (e.g. only when an operand collides with the state value) are almost
        always caught and fed back as counterexamples *)
-    let run inputs = Engine.run ~init:layout.Codegen.l_init synth_desc ~mc ~inputs in
+    let run inputs =
+      Substrate.run (Substrate.of_engine ~init:layout.Codegen.l_init synth_desc ~mc) ~inputs
+    in
     let vex =
       examples_of_inputs ~spec
         (List.init 4096 (fun _ ->
@@ -240,7 +242,9 @@ let synthesize (p : problem) : outcome =
   let try_current () =
     incr candidates;
     let mc = mc_of_assignment () in
-    let run inputs = Engine.run ~init:layout.Codegen.l_init synth_desc ~mc ~inputs in
+    let run inputs =
+      Substrate.run (Substrate.of_engine ~init:layout.Codegen.l_init synth_desc ~mc) ~inputs
+    in
     if check_candidate ~run ~state_triples ~observed !examples && verify mc then Some mc else None
   in
   let result = ref None in

@@ -42,6 +42,7 @@ module Traffic = Druzhba_dsim.Traffic
 module Trace = Druzhba_dsim.Trace
 module Engine = Druzhba_dsim.Engine
 module Compiled = Druzhba_dsim.Compiled
+module Driver = Druzhba_dsim.Driver
 module Substrate = Druzhba_dsim.Substrate
 module Native_abi = Druzhba_dsim.Native_abi
 module Native_substrate = Druzhba_dsim.Native_substrate
@@ -113,7 +114,8 @@ let simulate ?(level = Optimizer.Scc) ?(bits = 32) ?(seed = 0xD52ba) ~depth ~wid
   in
   let optimized = Optimizer.apply ~level ~mc desc in
   let inputs = Traffic.phvs (Traffic.create ~seed ~width ~bits) phvs in
-  { sim_description = optimized; sim_trace = Engine.run optimized ~mc ~inputs }
+  let sim_trace = Substrate.run (Substrate.of_engine optimized ~mc) ~inputs in
+  { sim_description = optimized; sim_trace }
 
 (* --- The compiler-testing workflow (Fig. 5) --------------------------------- *)
 

@@ -4,9 +4,11 @@
    many scenarios as you can imagine"; this module adds the scenarios real
    hardware adds on its own: single-event upsets and stuck-at defects.  A
    fault *plan* is a pure function of its seed and the pipeline geometry —
-   the same plan replays identically on both execution substrates, so fault
-   runs are themselves differential-testable (Engine-under-faults must equal
-   Compiled-under-faults), and a campaign report stays byte-deterministic.
+   the same plan replays identically on every RMT executor, since the one
+   tick driver ({!Driver.run_into}) applies it, so fault runs are
+   themselves differential-testable (the interpreter under faults must
+   equal the closures and the native module under faults), and a campaign
+   report stays byte-deterministic.
 
    Three fault classes are modelled:
 
@@ -18,14 +20,14 @@
    - {b dropped PHVs}: an injection slot is skipped entirely (an input-queue
      drop), shortening the output trace.
 
-   The overlay never touches the engines' code paths: fault-free simulation
-   runs the exact same instructions with or without this module loaded,
-   which is what lets the campaign oracle assert that a fault-free replay
-   after a fault run is still byte-identical to the pristine reference. *)
+   This module holds plans only; the driver applies them.  The overlay
+   never touches the executors' stage code: a fault-free run executes the
+   same stages with or without a plan, which is what lets the campaign
+   oracle assert that a fault-free replay after a fault run is still
+   byte-identical to the pristine reference. *)
 
 module Prng = Druzhba_util.Prng
 module Ir = Druzhba_pipeline.Ir
-module Compile = Druzhba_pipeline.Compile
 
 type flip = { bf_phv : int; bf_container : int; bf_bit : int }
 type stuck = { sk_stage : int; sk_alu : int; sk_slot : int; sk_value : int }
@@ -105,6 +107,9 @@ let generate_io ~seed ~width ~bits ~n_inputs ~count () : t =
   done;
   { fp_seed = seed; fp_flips = List.rev !flips; fp_stuck = []; fp_dropped = dropped }
 
+(* Whether injection slot [i] is dropped. *)
+let dropped t i = i < Array.length t.fp_dropped && t.fp_dropped.(i)
+
 (* Applies the input-path faults of [plan] to an input list without touching
    any engine: flipped PHVs are replaced by fresh copies with the planned
    bits inverted, dropped injection slots are removed.  Substrates that run
@@ -113,7 +118,7 @@ let generate_io ~seed ~width ~bits ~n_inputs ~count () : t =
    stuck-at overlay does not apply to them. *)
 let overlay_inputs plan (inputs : Phv.t list) : Phv.t list =
   List.filteri
-    (fun i _ -> not (i < Array.length plan.fp_dropped && plan.fp_dropped.(i)))
+    (fun i _ -> not (dropped plan i))
     (List.mapi
        (fun i phv ->
          let flips = List.filter (fun f -> f.bf_phv = i) plan.fp_flips in
@@ -129,8 +134,6 @@ let overlay_inputs plan (inputs : Phv.t list) : Phv.t list =
          end)
        inputs)
 
-(* --- Overlay application --------------------------------------------------- *)
-
 (* Flips the planned bits of injection slot [i] directly in row 0 of the
    register file (the PHV was just blitted there); the caller's input array
    is never mutated. *)
@@ -138,73 +141,3 @@ let apply_flips t (cur : int array) i =
   List.iter
     (fun f -> if f.bf_phv = i then cur.(f.bf_container) <- cur.(f.bf_container) lxor (1 lsl f.bf_bit))
     t.fp_flips
-
-let apply_stuck_engine t (e : Engine.t) =
-  List.iter (fun s -> e.Engine.state.(s.sk_stage).(s.sk_alu).(s.sk_slot) <- s.sk_value) t.fp_stuck
-
-let apply_stuck_compiled t (c : Compiled.t) =
-  List.iter
-    (fun s ->
-      let stage = c.Compiled.compiled.Compile.c_stages.(s.sk_stage) in
-      stage.Compile.cs_stateful.(s.sk_alu).Compile.ca_env.Compile.state.(s.sk_slot) <- s.sk_value)
-    t.fp_stuck
-
-(* --- Fault-injected simulation --------------------------------------------
-
-   Step-based mirrors of the engines' [run_into]: the stuck overlay is
-   asserted before the first tick and re-asserted after every commit, bit
-   flips land at injection, and dropped slots skip injection entirely.  The
-   engine is reset first, so the same engine alternates freely between
-   faulted and fault-free runs — the campaign oracle relies on this to
-   check that faults never leak into the no-fault path. *)
-
-let run_engine ?init ?budget plan (e : Engine.t) ~inputs (buf : Trace.Buffer.t) =
-  Engine.reset ?init e;
-  Trace.Buffer.clear buf;
-  let spend = match budget with None -> ignore | Some b -> fun () -> Budget.spend b in
-  apply_stuck_engine plan e;
-  let out_off = e.Engine.depth * e.Engine.width in
-  List.iteri
-    (fun i phv ->
-      spend ();
-      if i < Array.length plan.fp_dropped && plan.fp_dropped.(i) then Engine.no_inject e
-      else begin
-        Engine.inject e phv;
-        apply_flips plan e.Engine.cur i
-      end;
-      if Engine.tick_once e then Trace.Buffer.push buf e.Engine.cur ~off:out_off;
-      apply_stuck_engine plan e)
-    inputs;
-  for _ = 1 to e.Engine.depth do
-    spend ();
-    Engine.no_inject e;
-    if Engine.tick_once e then Trace.Buffer.push buf e.Engine.cur ~off:out_off;
-    apply_stuck_engine plan e
-  done
-
-let run_compiled ?(init = []) ?budget plan (c : Compiled.t) ~inputs (buf : Trace.Buffer.t) =
-  Compiled.reset c.Compiled.compiled;
-  Compiled.load_state c.Compiled.compiled init;
-  c.Compiled.occ <- 0;
-  c.Compiled.tick <- 0;
-  Trace.Buffer.clear buf;
-  let spend = match budget with None -> ignore | Some b -> fun () -> Budget.spend b in
-  apply_stuck_compiled plan c;
-  let out_off = c.Compiled.depth * c.Compiled.width in
-  List.iteri
-    (fun i phv ->
-      spend ();
-      if i < Array.length plan.fp_dropped && plan.fp_dropped.(i) then Compiled.no_inject c
-      else begin
-        Compiled.inject c phv;
-        apply_flips plan c.Compiled.cur i
-      end;
-      if Compiled.tick_once c then Trace.Buffer.push buf c.Compiled.cur ~off:out_off;
-      apply_stuck_compiled plan c)
-    inputs;
-  for _ = 1 to c.Compiled.depth do
-    spend ();
-    Compiled.no_inject c;
-    if Compiled.tick_once c then Trace.Buffer.push buf c.Compiled.cur ~off:out_off;
-    apply_stuck_compiled plan c
-  done

@@ -22,10 +22,12 @@
      bytecode host, no cmi directory, or [DRUZHBA_NATIVE_DISABLE] set) or
      a build fails (compiler error, unusable cache directory); callers fall
      back to the interpreted paths with a structured note.
-   - {b driver}: the runtime mirrors {!Compiled} tick-for-tick (ping-pong
-     register file, occupancy bitmask, budget spends, fault overlays), so
-     traces, final state, and fuel accounting are bit-identical to the
-     Engine/Compiled substrates by construction of the emitted code.
+   - {b runtime}: a loaded module is one more {!Driver} executor, like the
+     interpreter and the closures — it supplies its state rows and stage
+     function, and the driver owns the tick loop (register file, occupancy
+     bitmask, budget spends, preload, fault overlays), so traces, final
+     state, and fuel accounting are bit-identical to theirs by construction
+     of the emitted code.
 
    Environment knobs: [DRUZHBA_NATIVE_DISABLE] forces unavailability (the
    CI no-toolchain job and the skip-path tests use it);
@@ -57,9 +59,10 @@ let find_in_path exe =
              | () -> if Sys.is_directory p then None else Some p
              | exception Unix.Unix_error (_, _, _) -> None)
 
-let has_cmis dir =
-  Sys.file_exists (Filename.concat dir "druzhba_dsim.cmi")
-  && Sys.file_exists (Filename.concat dir "druzhba_dsim__Native_abi.cmi")
+(* The interfaces an emitted module is compiled against. *)
+let cmis = [ "druzhba_dsim.cmi"; "druzhba_dsim__Native_abi.cmi" ]
+
+let has_cmis dir = List.for_all (fun cmi -> Sys.file_exists (Filename.concat dir cmi)) cmis
 
 (* The emitted module references [Druzhba_dsim.Native_abi], so ocamlopt
    needs the cmi of the wrapped library.  In a dune tree those live in
@@ -130,12 +133,27 @@ let rec mkdir_p dir =
 
 (* The content address covers everything the artifact depends on: the
    emitted source (itself a pure function of description + machine code),
-   the compiler that built it, and the host ABI the module registers
-   through.  Equal key => interchangeable `.cmxs`. *)
+   the compiler that built it, the host ABI the module registers through,
+   and the interfaces it is compiled against.  The ABI version does not
+   imply the last: a library that gains or loses a module changes the
+   digests of both interfaces, since every module compiled under the
+   library's alias module gets other stamps, and Dynlink refuses an
+   artifact built against the old ones.  Equal key => interchangeable
+   `.cmxs`. *)
 let content_key source =
+  let interfaces =
+    match discover_include () with
+    | None -> []
+    | Some inc ->
+      List.map
+        (fun cmi ->
+          try Digest.to_hex (Digest.file (Filename.concat inc cmi)) with Sys_error _ -> "")
+        cmis
+  in
   Digest.to_hex
     (Digest.string
-       (Printf.sprintf "druzhba-native|abi=%d|%s|%s" Native_abi.version Sys.ocaml_version source))
+       (Printf.sprintf "druzhba-native|abi=%d|%s|%s|%s" Native_abi.version
+          (String.concat "," interfaces) Sys.ocaml_version source))
 
 let module_name key = "druzhba_native_" ^ key
 
@@ -467,183 +485,29 @@ let build_all ~jobs (programs : (Ir.t * Machine_code.t) list) : unit =
                 : unit list)
           with _ -> ())
 
-(* --- Runtime driver ---------------------------------------------------------
+(* --- Runtime -------------------------------------------------------------------
 
-   A faithful mirror of {!Compiled}'s tick loop: double-buffered flat
-   (depth+1) x width register file, occupancy bitmask, one budget unit per
-   tick, and the fault protocol of {!Faults.run_compiled} transcribed over
-   the plugin's state rows. *)
-
-type t = {
-  plugin : Native_abi.plugin;
-  label : string;
-  depth : int;
-  width : int;
-  state : int array array; (* one row per stateful ALU, stage-major *)
-  mutable cur : int array;
-  mutable nxt : int array;
-  mutable occ : int;
-  mutable tick : int;
-  mutable init : (string * int array) list;
-}
-
-let reset t = Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) t.state
-
-let load_state_rows t init =
-  match init with
-  | [] -> ()
-  | _ ->
-    let tbl = Hashtbl.create (max 16 (List.length init)) in
-    (* first binding wins, like the scalar engines *)
-    List.iter
-      (fun (name, values) -> if not (Hashtbl.mem tbl name) then Hashtbl.add tbl name values)
-      init;
-    Array.iteri
-      (fun g row ->
-        match Hashtbl.find_opt tbl t.plugin.Native_abi.np_state_names.(g) with
-        | Some values -> Array.blit values 0 row 0 (min (Array.length values) (Array.length row))
-        | None -> ())
-      t.state
-
-let tick_once t =
-  let depth = t.depth and width = t.width in
-  let occ = t.occ in
-  let new_occ = ref 0 in
-  let exec = t.plugin.Native_abi.np_exec_stage in
-  for s = 0 to depth - 1 do
-    if occ land (1 lsl s) <> 0 then begin
-      exec t.state s t.cur t.nxt;
-      new_occ := !new_occ lor (1 lsl (s + 1))
-    end
-  done;
-  if occ land 1 <> 0 then begin
-    Array.blit t.cur 0 t.nxt 0 width;
-    new_occ := !new_occ lor 1
-  end;
-  let swapped = t.cur in
-  t.cur <- t.nxt;
-  t.nxt <- swapped;
-  t.occ <- !new_occ;
-  t.tick <- t.tick + 1;
-  !new_occ land (1 lsl depth) <> 0
-
-let inject t (phv : Phv.t) =
-  Array.blit phv 0 t.cur 0 t.width;
-  t.occ <- t.occ lor 1
-
-let no_inject t = t.occ <- t.occ land lnot 1
-
-let current_state t =
-  Array.to_list
-    (Array.mapi (fun g row -> (t.plugin.Native_abi.np_state_names.(g), Array.copy row)) t.state)
-
-let apply_stuck t (plan : Faults.t) =
-  List.iter
-    (fun (s : Faults.stuck) ->
-      t.state.(t.plugin.Native_abi.np_stage_bases.(s.Faults.sk_stage) + s.Faults.sk_alu).(s.Faults.sk_slot) <-
-        s.Faults.sk_value)
-    plan.Faults.fp_stuck
-
-let rearm t =
-  reset t;
-  load_state_rows t t.init;
-  t.occ <- 0;
-  t.tick <- 0
-
-let run_seq ?budget t ~inputs (buf : Trace.Buffer.t) =
-  rearm t;
-  Trace.Buffer.clear buf;
-  let spend = match budget with None -> ignore | Some b -> fun () -> Budget.spend b in
-  let out_off = t.depth * t.width in
-  List.iter
-    (fun phv ->
-      spend ();
-      inject t phv;
-      if tick_once t then Trace.Buffer.push buf t.cur ~off:out_off)
-    inputs;
-  for _ = 1 to t.depth do
-    spend ();
-    no_inject t;
-    if tick_once t then Trace.Buffer.push buf t.cur ~off:out_off
-  done
-
-let run_faults_seq ?budget plan t ~inputs (buf : Trace.Buffer.t) =
-  rearm t;
-  Trace.Buffer.clear buf;
-  let spend = match budget with None -> ignore | Some b -> fun () -> Budget.spend b in
-  apply_stuck t plan;
-  let out_off = t.depth * t.width in
-  List.iteri
-    (fun i phv ->
-      spend ();
-      if i < Array.length plan.Faults.fp_dropped && plan.Faults.fp_dropped.(i) then no_inject t
-      else begin
-        inject t phv;
-        Faults.apply_flips plan t.cur i
-      end;
-      if tick_once t then Trace.Buffer.push buf t.cur ~off:out_off;
-      apply_stuck t plan)
-    inputs;
-  for _ = 1 to t.depth do
-    spend ();
-    no_inject t;
-    if tick_once t then Trace.Buffer.push buf t.cur ~off:out_off;
-    apply_stuck t plan
-  done
-
-module Native_sub = struct
-  type nonrec t = t
-
-  let name t = t.label
-  let width t = t.width
-
-  let load_state t init =
-    t.init <- init;
-    (* also arm the live state so step-based use sees the preload *)
-    reset t;
-    load_state_rows t init
-
-  let run_into ?budget ?faults t ~inputs buf =
-    match faults with
-    | None -> run_seq ?budget t ~inputs buf
-    | Some plan -> run_faults_seq ?budget plan t ~inputs buf
-
-  let current_state = current_state
-
-  let step t ~input =
-    (match input with Some phv -> inject t phv | None -> no_inject t);
-    if tick_once t then Some (Array.sub t.cur (t.depth * t.width) t.width) else None
-
-  let boundaries t : Phv.t option array =
-    Array.init (t.depth + 1) (fun s ->
-        if t.occ land (1 lsl s) <> 0 then Some (Array.sub t.cur (s * t.width) t.width) else None)
-end
+   A loaded plugin is one more {!Driver} executor: it supplies fresh state
+   rows from [np_alloc], their names grouped by its stage bases, and its
+   stage function; the driver runs the ticks, budgets, preload and fault
+   overlay exactly as for the interpreter and the closures. *)
 
 (* [create ?label ?init desc ~mc] emits, compiles (or reuses a cached
    artifact), loads, and packs the native substrate.  [Error reason] means
    the toolchain is unavailable or the out-of-process compile failed; the
    caller degrades to the interpreted paths. *)
-let create ?(label = "native") ?(init = []) (desc : Ir.t) ~mc : (Substrate.packed, string) result =
+let create ?(label = "native") ?init (desc : Ir.t) ~mc : (Substrate.packed, string) result =
   match plugin_for desc ~mc with
   | Error e -> Error e
-  | Ok plugin ->
-    let depth = desc.Ir.d_depth and width = desc.Ir.d_width in
-    if depth + 1 >= Sys.int_size then
-      invalid_arg "Native_substrate.create: pipeline depth exceeds the occupancy bitmask";
-    let t =
-      {
-        plugin;
-        label;
-        depth;
-        width;
-        state = plugin.Native_abi.np_alloc ();
-        cur = Array.make ((depth + 1) * width) 0;
-        nxt = Array.make ((depth + 1) * width) 0;
-        occ = 0;
-        tick = 0;
-        init;
-      }
+  | Ok p ->
+    let rows = p.Native_abi.np_alloc () and bases = p.Native_abi.np_stage_bases in
+    let depth = Array.length bases in
+    let stages =
+      Array.init depth (fun s ->
+          let hi = if s + 1 < depth then bases.(s + 1) else Array.length rows in
+          Array.init (hi - bases.(s)) (fun j ->
+              (p.Native_abi.np_state_names.(bases.(s) + j), rows.(bases.(s) + j))))
     in
-    reset t;
-    load_state_rows t init;
-    Ok (Substrate.Packed ((module Native_sub), t))
+    let exec_stage = p.Native_abi.np_exec_stage in
+    let exec s cur nxt = exec_stage rows s cur nxt in
+    Ok (Substrate.of_driver (Driver.create ~label ?init ~width:p.Native_abi.np_width ~exec stages))

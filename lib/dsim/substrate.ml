@@ -8,6 +8,9 @@
    plugs into all of that machinery unchanged.
 
    The contract:
+   - [load_state] installs the persistent-state preload (keyed by name; a
+     name bound twice keeps its first binding) and arms the live state
+     with it: [current_state] and [step] see it at once.
    - [run_into] is an {e independent run}: the substrate re-arms itself
      (state reset to whatever [load_state] installed) before executing, so
      the same value can be replayed any number of times and a fault run can
@@ -22,8 +25,11 @@
    - [step]/[boundaries] are the debugger surface: advance one tick with an
      optional injected PHV, and snapshot the PHV at each pipeline boundary.
 
-   Every substrate has exactly one tick loop, [run_into]: the oracle,
-   campaigns, fault runs, Table 1 and the bench all time and diff it.
+   Every substrate has exactly one run loop, [run_into]: the oracle,
+   campaigns, fault runs, Table 1 and the bench all time and diff it.  The
+   three RMT executors (interpreter, closures, native module) share one
+   implementation of the contract, {!Driver}; each supplies only its stage
+   function and state vectors.
 
    Values are packed existentially ([packed]) so heterogeneous substrate
    lists — interpreter at three optimization levels, compiled closures,
@@ -42,7 +48,8 @@ module type S = sig
 
   val load_state : t -> (string * int array) list -> unit
   (** Installs the persistent-state preload that every subsequent
-      [run_into] starts from (control-plane register initialization). *)
+      [run_into] starts from (control-plane register initialization), and
+      arms the live state with it. *)
 
   val run_into : ?budget:Budget.t -> ?faults:Faults.t -> t -> inputs:Phv.t list -> Trace.Buffer.t -> unit
 
@@ -71,66 +78,22 @@ let current_state (Packed ((module M), t)) = M.current_state t
 let step (Packed ((module M), t)) ~input = M.step t ~input
 let boundaries (Packed ((module M), t)) = M.boundaries t
 
-(* --- RMT adapters ----------------------------------------------------------- *)
+(* Freezes one run into a {!Trace.t}: the outputs of [run_into] and the
+   final state. *)
+let run p ~inputs : Trace.t =
+  let buf = Trace.Buffer.create ~width:(width p) ~capacity:(List.length inputs) in
+  run_into p ~inputs buf;
+  { Trace.inputs; outputs = Trace.Buffer.contents buf; final_state = current_state p }
 
-module Engine_substrate = struct
-  type t = {
-    label : string;
-    engine : Engine.t;
-    mutable init : (string * int array) list;
-  }
+(* --- RMT executors -------------------------------------------------------------
 
-  let name t = t.label
-  let width t = t.engine.Engine.width
-  let load_state t init = t.init <- init
+   Every RMT executor is a {!Driver}, which implements [S] once. *)
 
-  let run_into ?budget ?faults t ~inputs buf =
-    match faults with
-    | None ->
-      Engine.reset ~init:t.init t.engine;
-      Engine.run_into ?budget t.engine ~inputs buf
-    | Some plan -> Faults.run_engine ~init:t.init ?budget plan t.engine ~inputs buf
-
-  let current_state t = Engine.current_state t.engine
-  let step t ~input = Engine.step t.engine ~input
-  let boundaries t = Engine.boundaries t.engine
-end
-
-module Compiled_substrate = struct
-  type t = {
-    label : string;
-    compiled : Compiled.t;
-    mutable init : (string * int array) list;
-  }
-
-  let name t = t.label
-  let width t = t.compiled.Compiled.width
-
-  let load_state t init =
-    t.init <- init;
-    (* also arm the live state so step-based use sees the preload *)
-    Compiled.reset t.compiled.Compiled.compiled;
-    Compiled.load_state t.compiled.Compiled.compiled init
-
-  let run_into ?budget ?faults t ~inputs buf =
-    match faults with
-    | None -> Compiled.run_into ~init:t.init ?budget t.compiled ~inputs buf
-    | Some plan -> Faults.run_compiled ~init:t.init ?budget plan t.compiled ~inputs buf
-
-  let current_state t = Compiled.current_state t.compiled
-  let step t ~input = Compiled.step t.compiled ~input
-  let boundaries t = Compiled.boundaries t.compiled
-end
+let of_driver (d : Driver.t) : packed = Packed ((module Driver), d)
 
 (* [of_engine ?label ?init desc ~mc] packs the interpreter engine; [label]
-   defaults to ["interpreter"].  @raise like {!Engine.create}. *)
-let of_engine ?(label = "interpreter") ?(init = []) desc ~mc : packed =
-  Packed
-    ( (module Engine_substrate),
-      { Engine_substrate.label; engine = Engine.create ~init desc ~mc; init } )
+   defaults to ["interpreter"]. *)
+let of_engine ?label ?init desc ~mc : packed =
+  of_driver (Engine.create ?label ?init desc ~mc).Engine.driver
 
-let of_compiled ?(label = "compiled") ?(init = []) compiled : packed =
-  let c = Compiled.create compiled in
-  Compiled.reset compiled;
-  Compiled.load_state compiled init;
-  Packed ((module Compiled_substrate), { Compiled_substrate.label; compiled = c; init })
+let of_compiled ?label ?init compiled : packed = of_driver (Compiled.create ?label ?init compiled)

@@ -91,12 +91,11 @@ let exhaustive_check ?(max_states = 200_000) ?substrate ~(desc : Ir.t) ~mc ~(spe
     (out, s)
   in
   let initial_spec = spec.Fuzz.spec_init () in
-  (* normalize the initial pipeline state to cover every stateful ALU: an
-     empty run re-arms the substrate from [init] and leaves its full state
-     vector observable *)
+  (* normalize the initial pipeline state to cover every stateful ALU:
+     [load_state] arms the substrate with [init], so its full state vector
+     is observable at once *)
   let initial_pipeline =
     Substrate.load_state sub init;
-    Substrate.run_into sub ~inputs:[] buf;
     Substrate.current_state sub
   in
   let seen = Hashtbl.create 1024 in

@@ -228,10 +228,18 @@ let safe_filename name =
          || c = '.' || c = '-' || c = '_')
        name
 
+(* A key that comes twice is refused, named, as an unknown one is: taking
+   either value would run something its author may not have meant. *)
+let no_repeat what fields =
+  match Campaign.repeated_key fields with
+  | Some k -> Error (Printf.sprintf "repeated %s %S" what k)
+  | None -> Ok ()
+
 let get_files fields =
   match List.assoc_opt "files" fields with
   | None -> Ok []
   | Some (Report.Obj files) ->
+    let* () = no_repeat "file" files in
     let rec go acc = function
       | [] -> Ok (List.rev acc)
       | (name, Report.Str contents) :: rest ->
@@ -308,6 +316,7 @@ let parse_directed spec fields =
 
 let parse_submission (spec : Report.json) : (submission, string) result =
   let* fields = obj_fields spec in
+  let* () = no_repeat "field" fields in
   let* kind = get_str fields "kind" in
   match Option.map kind_of_name kind with
   | None | Some None ->

@@ -369,7 +369,8 @@ let test_dead_elim_neutralizes () =
   let pruned = Optimizer.dead_elim ~mc scc in
   Alcotest.(check bool) "strictly smaller" true (Ir.size pruned < Ir.size scc);
   let inputs = Traffic.phvs (Traffic.create ~seed:3 ~width:1 ~bits:32) 100 in
-  let a = Engine.run scc ~mc ~inputs and b = Engine.run pruned ~mc ~inputs in
+  let run d = Substrate.run (Substrate.of_engine d ~mc) ~inputs in
+  let a = run scc and b = run pruned in
   Alcotest.(check bool) "outputs agree" true (a.Trace.outputs = b.Trace.outputs);
   (* default keeps dead stateful updates: final state is observable *)
   Alcotest.(check bool) "state agrees" true (a.Trace.final_state = b.Trace.final_state)
@@ -390,10 +391,11 @@ let test_dead_elim_benchmarks () =
       let inputs =
         Traffic.phvs (Traffic.create ~seed:0xA11 ~width:bm.Spec.bm_width ~bits:32) 200
       in
-      let base = Engine.run ~init desc ~mc ~inputs in
+      let base = Substrate.run (Substrate.of_engine ~init desc ~mc) ~inputs in
       List.iter
         (fun level ->
-          let t = Engine.run ~init (Optimizer.apply ~level ~mc desc) ~mc ~inputs in
+          let d = Optimizer.apply ~level ~mc desc in
+          let t = Substrate.run (Substrate.of_engine ~init d ~mc) ~inputs in
           Alcotest.(check bool)
             (Printf.sprintf "%s @ %s: outputs agree" bm.Spec.bm_name (Optimizer.level_name level))
             true

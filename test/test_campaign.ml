@@ -8,7 +8,7 @@ module Ir = Druzhba_pipeline.Ir
 module Dgen = Druzhba_pipeline.Dgen
 module Names = Druzhba_pipeline.Names
 module Optimizer = Druzhba_optimizer.Optimizer
-module Engine = Druzhba_dsim.Engine
+module Substrate = Druzhba_dsim.Substrate
 module Phv = Druzhba_dsim.Phv
 module Traffic = Druzhba_dsim.Traffic
 module Trace = Druzhba_dsim.Trace
@@ -143,7 +143,7 @@ let shrink_scenario () =
   let repro ~inputs ~mc =
     inputs <> []
     &&
-    let trace = Engine.run desc ~mc ~inputs in
+    let trace = Substrate.run (Substrate.of_engine desc ~mc) ~inputs in
     Fuzz.compare_traces ~observed:[ 0 ] ~spec ~state_layout:[] ~trace () <> None
   in
   (desc, mc, repro)

@@ -9,7 +9,9 @@ module Names = Druzhba_pipeline.Names
 module Compile = Druzhba_pipeline.Compile
 module Interp = Druzhba_pipeline.Interp
 module Engine = Druzhba_dsim.Engine
-module Compiled = Druzhba_dsim.Compiled
+module Driver = Druzhba_dsim.Driver
+module Substrate = Druzhba_dsim.Substrate
+module Native_substrate = Druzhba_dsim.Native_substrate
 module Budget = Druzhba_dsim.Budget
 module Faults = Druzhba_dsim.Faults
 module Phv = Druzhba_dsim.Phv
@@ -35,6 +37,13 @@ let neutral_mc (desc : Ir.t) =
         st.Ir.s_output_muxes)
     desc.Ir.d_stages;
   mc
+
+(* Frozen runs on the interpreter and on the closures. *)
+let interpreted ?init desc ~mc ~inputs =
+  Substrate.run (Substrate.of_engine ?init desc ~mc) ~inputs
+
+let closures desc ~mc ~inputs =
+  Substrate.run (Substrate.of_compiled (Compile.compile desc ~mc)) ~inputs
 
 (* accumulator: state += pkt_0, output mux exposes old state *)
 let accumulator () =
@@ -110,14 +119,14 @@ let test_trace_buffer () =
 
 let test_trace_pp_smoke () =
   let desc, mc = accumulator () in
-  let trace = Engine.run desc ~mc ~inputs:[ [| 1 |]; [| 2 |] ] in
+  let trace = interpreted desc ~mc ~inputs:[ [| 1 |]; [| 2 |] ] in
   let rendered = Fmt.str "%a" Trace.pp trace in
   Alcotest.(check bool) "mentions phv lines" true (String.length rendered > 20)
 
 let test_engine_init_state () =
   let desc, mc = accumulator () in
   let init = [ (Names.stateful_alu ~stage:0 ~alu:0, [| 100 |]) ] in
-  let trace = Engine.run ~init desc ~mc ~inputs:[ [| 5 |] ] in
+  let trace = interpreted ~init desc ~mc ~inputs:[ [| 5 |] ] in
   Alcotest.(check (option (list int)))
     "state starts at 100" (Some [ 105 ])
     (Option.map Array.to_list (Trace.find_state trace (Names.stateful_alu ~stage:0 ~alu:0)))
@@ -333,13 +342,12 @@ let test_budget_of_seconds () =
 let test_budget_bounds_engine () =
   let desc, mc = accumulator () in
   let inputs = Traffic.phvs (Traffic.create ~seed:11 ~width:1 ~bits:32) 10 in
-  let engine = Engine.create desc ~mc in
+  let engine = Substrate.of_engine desc ~mc in
   let buf = Trace.Buffer.create ~width:1 ~capacity:(List.length inputs) in
-  (match Engine.run_into ~budget:(Budget.ticks 2) engine ~inputs buf with
+  (match Substrate.run_into ~budget:(Budget.ticks 2) engine ~inputs buf with
   | exception Budget.Exhausted -> ()
   | () -> Alcotest.fail "2 ticks of fuel finished an 11-tick simulation");
-  Engine.reset engine;
-  Engine.run_into ~budget:(Budget.ticks 1000) engine ~inputs buf;
+  Substrate.run_into ~budget:(Budget.ticks 1000) engine ~inputs buf;
   Alcotest.(check int) "ample fuel completes" (List.length inputs)
     (List.length (Trace.Buffer.contents buf))
 
@@ -359,9 +367,9 @@ let with_stateful_body body =
 
 (* Runs [inputs] through a fresh engine, created before any input is seen. *)
 let run_fresh desc ~mc inputs =
-  let engine = Engine.create desc ~mc in
+  let engine = Substrate.of_engine desc ~mc in
   let buf = Trace.Buffer.create ~width:1 ~capacity:(List.length inputs) in
-  Engine.run_into engine ~inputs:(List.map (fun v -> [| v |]) inputs) buf
+  Substrate.run_into engine ~inputs:(List.map (fun v -> [| v |]) inputs) buf
 
 (* The two executors, each built before any input is seen: the engine and
    the closures must raise the same error at the same evaluation. *)
@@ -370,7 +378,7 @@ let executors =
     ("interpreter", run_fresh);
     ( "closures",
       fun desc ~mc inputs ->
-        ignore (Compiled.run desc ~mc ~inputs:(List.map (fun v -> [| v |]) inputs)) );
+        ignore (closures desc ~mc ~inputs:(List.map (fun v -> [| v |]) inputs)) );
   ]
 
 (* [body] runs only on a PHV whose container 0 holds 7. *)
@@ -381,10 +389,10 @@ let test_lazy_missing_pair () =
     (fun name ->
       let desc, mc = accumulator () in
       Machine_code.remove mc name;
-      let engine = Engine.create desc ~mc in
+      let engine = Substrate.of_engine desc ~mc in
       let buf = Trace.Buffer.create ~width:1 ~capacity:2 in
       Alcotest.check_raises name (Machine_code.Missing name) (fun () ->
-          Engine.run_into engine ~inputs:[ [| 1 |]; [| 2 |] ] buf))
+          Substrate.run_into engine ~inputs:[ [| 1 |]; [| 2 |] ] buf))
     [
       Names.output_mux ~stage:0 ~container:0;
       Names.input_mux ~alu_prefix:(Names.stateful_alu ~stage:0 ~alu:0) ~operand:0;
@@ -402,7 +410,7 @@ let test_lazy_missing_operands () =
         match run () with () -> None | exception Machine_code.Missing name -> Some name
       in
       let engine = raised (fun () -> run_fresh desc ~mc [ 1 ]) in
-      let closures = raised (fun () -> ignore (Compiled.run desc ~mc ~inputs:[ [| 1 |] ])) in
+      let closures = raised (fun () -> ignore (closures desc ~mc ~inputs:[ [| 1 |] ])) in
       Alcotest.(check (option string)) (what ^ ": interpreter") (Some "right_absent") engine;
       Alcotest.(check (option string)) (what ^ ": closures") engine closures)
     [
@@ -421,8 +429,8 @@ let outcome run =
 
 let executors_agree what desc mc =
   let inputs = Traffic.phvs (Traffic.create ~seed:11 ~width:desc.Ir.d_width ~bits:8) 6 in
-  let engine = outcome (fun () -> Engine.run desc ~mc ~inputs) in
-  let closures = outcome (fun () -> Compiled.run desc ~mc ~inputs) in
+  let engine = outcome (fun () -> interpreted desc ~mc ~inputs) in
+  let closures = outcome (fun () -> closures desc ~mc ~inputs) in
   let show = function Ok _ -> "ran" | Error name -> "Missing " ^ name in
   if engine <> closures then
     Alcotest.failf "%s: interpreter %s, closures %s" what (show engine) (show closures);
@@ -542,8 +550,8 @@ let test_duplicate_parameter_last_wins () =
       Alcotest.check_raises (exec ^ ": shadowed argument runs") (Machine_code.Missing "absent")
         (fun () -> ignore (run desc ~mc ~inputs:[ [| 1 |] ])))
     [
-      ("interpreter", fun desc ~mc ~inputs -> Engine.run desc ~mc ~inputs);
-      ("closures", fun desc ~mc ~inputs -> Compiled.run desc ~mc ~inputs);
+      ("interpreter", fun desc ~mc ~inputs -> interpreted desc ~mc ~inputs);
+      ("closures", fun desc ~mc ~inputs -> closures desc ~mc ~inputs);
     ]
 
 (* A helper body runs in its own scope: a name it reads but does not bind
@@ -635,7 +643,7 @@ let test_probe_branch_sites () =
   let engine = Engine.create desc ~mc in
   Engine.instrument engine (Some probe);
   let buf = Trace.Buffer.create ~width:1 ~capacity:2 in
-  Engine.run_into engine ~inputs:[ [| 1 |]; [| 2 |] ] buf;
+  Driver.run_into engine.Engine.driver ~inputs:[ [| 1 |]; [| 2 |] ] buf;
   Alcotest.(check (list string))
     "pre-order sites"
     [ "b0t"; "b1t"; "b4f"; "b5f"; "default"; "b0f"; "b3t"; "l0"; "b4t"; "return" ]
@@ -658,16 +666,16 @@ let test_faults_substrates_agree_and_replay_clean () =
   let desc, mc = accumulator () in
   let inputs = Traffic.phvs (Traffic.create ~seed:23 ~width:1 ~bits:32) 40 in
   let capacity = List.length inputs in
-  let pristine = Engine.run desc ~mc ~inputs in
-  let engine = Engine.create desc ~mc in
-  let compiled = Compiled.create (Compile.compile desc ~mc) in
+  let pristine = interpreted desc ~mc ~inputs in
+  let engine = Substrate.of_engine desc ~mc in
+  let compiled = Substrate.of_compiled (Compile.compile desc ~mc) in
   let eng_buf = Trace.Buffer.create ~width:1 ~capacity in
   let cmp_buf = Trace.Buffer.create ~width:1 ~capacity in
   let sensitive = ref 0 in
   for seed = 1 to 8 do
     let plan = Faults.generate ~seed ~desc ~n_inputs:capacity ~count:4 () in
-    Faults.run_engine plan engine ~inputs eng_buf;
-    Faults.run_compiled plan compiled ~inputs cmp_buf;
+    Substrate.run_into ~faults:plan engine ~inputs eng_buf;
+    Substrate.run_into ~faults:plan compiled ~inputs cmp_buf;
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: outputs agree under faults" seed)
       true
@@ -675,14 +683,13 @@ let test_faults_substrates_agree_and_replay_clean () =
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: state agrees under faults" seed)
       true
-      (Engine.current_state engine = Compiled.current_state compiled);
+      (Substrate.current_state engine = Substrate.current_state compiled);
     if Trace.Buffer.contents eng_buf <> pristine.Trace.outputs then incr sensitive
   done;
   Alcotest.(check bool) "some fault visibly perturbs the accumulator" true (!sensitive > 0);
   (* fault-free replay: the overlay never touches the no-fault code path *)
-  Engine.reset engine;
-  Engine.run_into engine ~inputs eng_buf;
-  Compiled.run_into compiled ~inputs cmp_buf;
+  Substrate.run_into engine ~inputs eng_buf;
+  Substrate.run_into compiled ~inputs cmp_buf;
   Alcotest.(check bool) "engine replay is pristine" true
     (Trace.Buffer.contents eng_buf = pristine.Trace.outputs);
   Alcotest.(check bool) "compiled replay is pristine" true
@@ -690,8 +697,6 @@ let test_faults_substrates_agree_and_replay_clean () =
 
 (* --- Substrate interface --------------------------------------------------------- *)
 
-module Substrate = Druzhba_dsim.Substrate
-module Native_substrate = Druzhba_dsim.Native_substrate
 module Optimizer = Druzhba_optimizer.Optimizer
 module Drmt_substrate = Druzhba_dsim.Drmt_substrate
 module Sim = Druzhba_drmt.Sim
@@ -735,6 +740,84 @@ let test_substrate_rmt_adapters_agree () =
   Substrate.load_state compiled [];
   check_same_run "after state reload" (run_into_trace engine ~inputs)
     (run_into_trace compiled ~inputs)
+
+(* [load_state] arms the live state on every RMT executor: [current_state]
+   reports the preload at once (the first of two bindings of one name), and
+   stepping from it, directly or in a debugger session, agrees tick by tick
+   across the executors and ends where [run_into] from the same preload
+   ends.  The native module joins when the toolchain is available. *)
+let test_load_state_arms_live_state () =
+  let desc = gen ~depth:2 ~width:2 ~bits:8 () in
+  let mc = Fuzz.random_mc (Prng.create 3) desc in
+  let alu = Names.stateful_alu ~stage:0 ~alu:0 in
+  let preload = [ (alu, [| 9 |]); (alu, [| 4 |]) ] in
+  let inputs = [ [| 3; 5 |]; [| 7; 11 |] ] in
+  let ticks = List.length inputs + desc.Ir.d_depth in
+  let native =
+    match Native_substrate.available () with
+    | Error reason ->
+      Printf.printf "native skipped: toolchain unavailable (%s)\n" reason;
+      []
+    | Ok () ->
+      [
+        ( "native",
+          fun () ->
+            match Native_substrate.create desc ~mc with
+            | Ok packed -> packed
+            | Error reason -> Alcotest.failf "native build failed: %s" reason );
+      ]
+  in
+  let executors =
+    [
+      ("interpreter", fun () -> Substrate.of_engine desc ~mc);
+      ("closures", fun () -> Substrate.of_compiled (Compile.compile desc ~mc));
+    ]
+    @ native
+  in
+  let loaded make =
+    let packed = make () in
+    Substrate.load_state packed preload;
+    packed
+  in
+  (* (exiting PHV, state) after each tick *)
+  let rec stepped packed t =
+    if t = ticks then []
+    else
+      let out = Substrate.step packed ~input:(List.nth_opt inputs t) in
+      let tick = (out, Substrate.current_state packed) in
+      tick :: stepped packed (t + 1)
+  in
+  let rec debugged session t =
+    if t = ticks then []
+    else
+      let snap = Debugger.step session in
+      let tick = (snap.Debugger.snap_output, snap.Debugger.snap_state) in
+      tick :: debugged session (t + 1)
+  in
+  let reference = ref None in
+  List.iter
+    (fun (exec, make) ->
+      let packed = loaded make in
+      Alcotest.(check (option int))
+        (exec ^ ": current_state after load_state")
+        (Some 9)
+        (Option.map (fun v -> v.(0)) (List.assoc_opt alu (Substrate.current_state packed)));
+      let steps = stepped packed 0 in
+      (match !reference with
+      | None -> reference := Some steps
+      | Some expected ->
+        List.iteri
+          (fun t (a, b) ->
+            Alcotest.(check bool) (Printf.sprintf "%s: tick %d = interpreter" exec (t + 1)) true
+              (a = b))
+          (List.combine expected steps));
+      Alcotest.(check bool) (exec ^ ": debugger session = steps") true
+        (debugged (Debugger.start_on (loaded make) ~inputs) 0 = steps);
+      let rows, state = run_into_trace (loaded make) ~inputs in
+      check_same_run (exec ^ ": steps = run_into")
+        (rows, state)
+        (List.filter_map fst steps, snd (List.nth steps (ticks - 1))))
+    executors
 
 (* Every executor reads the machine code it was built with.  Each is built
    at every optimization level; then every pair of the table changes value
@@ -1008,6 +1091,8 @@ let () =
             test_debugger_on_drmt_substrate;
           Alcotest.test_case "executors read the machine code they were built with" `Quick
             test_executors_keep_built_machine_code;
+          Alcotest.test_case "load_state arms the live state" `Quick
+            test_load_state_arms_live_state;
         ] );
       ( "verification",
         [

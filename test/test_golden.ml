@@ -30,8 +30,6 @@ module Machine_code = Druzhba_machine_code.Machine_code
 module Ir = Druzhba_pipeline.Ir
 module Compile = Druzhba_pipeline.Compile
 module Optimizer = Druzhba_optimizer.Optimizer
-module Engine = Druzhba_dsim.Engine
-module Compiled = Druzhba_dsim.Compiled
 module Traffic = Druzhba_dsim.Traffic
 module Trace = Druzhba_dsim.Trace
 module Spec = Druzhba_spec.Spec
@@ -56,7 +54,7 @@ let reference_trace (bm : Spec.benchmark) =
   let inputs =
     Traffic.phvs (Traffic.create ~seed:golden_seed ~width:bm.Spec.bm_width ~bits:32) golden_phvs
   in
-  (compiled, Engine.run ~init desc ~mc ~inputs, inputs)
+  (compiled, Substrate.run (Substrate.of_engine ~init desc ~mc) ~inputs, inputs)
 
 let render (bm : Spec.benchmark) (trace : Trace.t) =
   Fmt.str "# golden trace: %s (%dx%d, seed %d, %d PHVs)@.%a@." bm.Spec.bm_name bm.Spec.bm_depth
@@ -77,21 +75,10 @@ let drmt_name = Drmt_router.name
 let drmt_substrate mode =
   Drmt_substrate.create ~mode ~entries:(Drmt_router.entries ()) (Drmt_router.program ())
 
-let run_substrate packed ~inputs =
-  let buf =
-    Trace.Buffer.create ~width:(Substrate.width packed) ~capacity:(max 1 (List.length inputs))
-  in
-  Substrate.run_into packed ~inputs buf;
-  {
-    Trace.inputs;
-    outputs = Trace.Buffer.contents buf;
-    final_state = Substrate.current_state packed;
-  }
-
 let drmt_reference_trace () =
   let sub = drmt_substrate Drmt_substrate.Sequential in
   let inputs = Drmt_substrate.traffic ~seed:golden_seed sub golden_phvs in
-  (run_substrate (Drmt_substrate.pack sub) ~inputs, inputs)
+  (Substrate.run (Drmt_substrate.pack sub) ~inputs, inputs)
 
 let drmt_render (trace : Trace.t) =
   Fmt.str "# golden trace: %s (dRMT, seed %d, %d PHVs)@.%a@." drmt_name golden_seed golden_phvs
@@ -271,7 +258,7 @@ let test_all_configs_match (bm : Spec.benchmark) () =
       let closure = Compile.compile optimized ~mc in
       let native_run () =
         match Native_substrate.create ~init optimized ~mc with
-        | Ok packed -> [ ("native", run_substrate packed ~inputs) ]
+        | Ok packed -> [ ("native", Substrate.run packed ~inputs) ]
         | Error e ->
           Alcotest.failf "%s: native@%s does not build: %s" bm.Spec.bm_name
             (Optimizer.level_name level) e
@@ -291,8 +278,8 @@ let test_all_configs_match (bm : Spec.benchmark) () =
                 bm.Spec.bm_name backend_name (Optimizer.level_name level) where expected actual
             | None -> Alcotest.failf "%s: traces differ only in inputs?" bm.Spec.bm_name)
         ([
-           ("interpreter", Engine.run ~init optimized ~mc ~inputs);
-           ("closures", Compiled.run_compiled ~init closure ~inputs);
+           ("interpreter", Substrate.run (Substrate.of_engine ~init optimized ~mc) ~inputs);
+           ("closures", Substrate.run (Substrate.of_compiled ~init closure) ~inputs);
          ]
         @ if native then native_run () else []))
     Oracle.all_levels
@@ -308,7 +295,7 @@ let test_drmt_stats_match () =
 
 let test_drmt_event_matches_reference () =
   let reference, inputs = drmt_reference_trace () in
-  let event = run_substrate (Drmt_substrate.pack (drmt_substrate Drmt_substrate.Event)) ~inputs in
+  let event = Substrate.run (Drmt_substrate.pack (drmt_substrate Drmt_substrate.Event)) ~inputs in
   if not (Trace.equal reference event) then
     match Oracle.diff_traces ~reference ~actual:event with
     | Some (kind, expected, actual) ->

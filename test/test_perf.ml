@@ -1,25 +1,27 @@
-(* Allocation-regression tests for the zero-allocation tick engine.
+(* Allocation-regression tests for the zero-allocation tick driver.
 
-   The steady-state hot path — {!Compiled.run_into} over a preallocated
-   engine and {!Trace.Buffer} — must not allocate per PHV: the register file
+   The steady-state hot path — {!Driver.run_into} over a preallocated
+   driver and {!Trace.Buffer} — must not allocate per PHV: the register file
    is a preallocated ping-pong pair, stages run through scratch buffers, and
    outputs are blitted into the buffer's preallocated rows.  The test runs
-   every Table-1 program at scc+inline (the Table-1 configuration) and
-   asserts [Gc.allocated_bytes] per steady-state PHV stays below a small
-   fixed bound; per-run setup (the init hash table, closures) is amortized
-   over the workload and real regressions — a fresh block per tick anywhere
-   in the engine, compiled ALUs, or muxes — cost tens to thousands of bytes
-   per PHV, far above the bound.
+   every Table-1 program at scc+inline (the Table-1 configuration) on the
+   compiled closures and asserts [Gc.allocated_bytes] per steady-state PHV
+   stays below a small fixed bound; per-run setup (re-arming the state,
+   closures) is amortized over the workload and real regressions — a fresh
+   block per tick anywhere in the driver, compiled ALUs, or muxes — cost
+   tens to thousands of bytes per PHV, far above the bound.
 
-   The interpreter holds it too, at every optimization level.
+   The interpreter and the native modules hold it too, at every
+   optimization level.
 
    The dRMT substrates hold the same bound per packet: each prepares its
    program once and re-arms preallocated packet rows, table selections and
    register file on every run.
 
    A second test pins the buffered fast path to the frozen-trace path: for
-   every program and level, [run_into] + [Buffer.contents] must reproduce
-   [run_compiled] and [Engine.run] exactly.
+   every program and level, [run_into] + [Buffer.contents] on the closures
+   must reproduce {!Substrate.run} on the closures and on the interpreter
+   exactly.
 
    A last test holds a removed coverage probe to zero callbacks, the
    uninstrumented trace and the uninstrumented tick cost. *)
@@ -30,6 +32,8 @@ module Compile = Druzhba_pipeline.Compile
 module Optimizer = Druzhba_optimizer.Optimizer
 module Engine = Druzhba_dsim.Engine
 module Compiled = Druzhba_dsim.Compiled
+module Driver = Druzhba_dsim.Driver
+module Native_substrate = Druzhba_dsim.Native_substrate
 module Traffic = Druzhba_dsim.Traffic
 module Trace = Druzhba_dsim.Trace
 module Phv = Druzhba_dsim.Phv
@@ -44,6 +48,7 @@ module Prng = Druzhba_util.Prng
    hundreds-to-thousands of bytes/PHV. *)
 let bytes_per_phv_bound = 64.0
 let alloc_phvs = 2_000
+let levels = [ Optimizer.Unoptimized; Optimizer.Scc; Optimizer.Scc_inline ]
 
 let setup (bm : Spec.benchmark) =
   let compiled = Spec.compile_exn bm in
@@ -58,13 +63,12 @@ let test_steady_state_allocation (bm : Spec.benchmark) () =
     Traffic.phvs (Traffic.create ~seed:0xA110C ~width:bm.Spec.bm_width ~bits:32) alloc_phvs
   in
   let v3 = Optimizer.apply ~level:Optimizer.Scc_inline ~mc desc in
-  let c = Compile.compile v3 ~mc in
-  let t = Compiled.create c in
+  let t = Compiled.create ~init (Compile.compile v3 ~mc) in
   let buf = Trace.Buffer.create ~width:bm.Spec.bm_width ~capacity:alloc_phvs in
   (* warm-up: page in code paths, trigger any one-time lazy work *)
-  Compiled.run_into ~init t ~inputs buf;
+  Driver.run_into t ~inputs buf;
   let a0 = Gc.allocated_bytes () in
-  Compiled.run_into ~init t ~inputs buf;
+  Driver.run_into t ~inputs buf;
   let a1 = Gc.allocated_bytes () in
   let per_phv = (a1 -. a0) /. float_of_int alloc_phvs in
   if per_phv >= bytes_per_phv_bound then
@@ -84,18 +88,58 @@ let test_interpreter_steady_state_allocation (bm : Spec.benchmark) () =
   in
   List.iter
     (fun level ->
-      let t = Engine.create ~init (Optimizer.apply ~level ~mc desc) ~mc in
+      let t = (Engine.create ~init (Optimizer.apply ~level ~mc desc) ~mc).Engine.driver in
       let buf = Trace.Buffer.create ~width:bm.Spec.bm_width ~capacity:alloc_phvs in
-      Engine.run_into t ~inputs buf;
-      Engine.reset ~init t;
+      Driver.run_into t ~inputs buf;
       let a0 = Gc.allocated_bytes () in
-      Engine.run_into t ~inputs buf;
+      Driver.run_into t ~inputs buf;
       let a1 = Gc.allocated_bytes () in
       let per_phv = (a1 -. a0) /. float_of_int alloc_phvs in
       if per_phv >= bytes_per_phv_bound then
         Alcotest.failf "%s/%s: %.2f bytes allocated per steady-state PHV (bound %.0f)"
           bm.Spec.bm_name (Optimizer.level_name level) per_phv bytes_per_phv_bound)
-    [ Optimizer.Unoptimized; Optimizer.Scc; Optimizer.Scc_inline ]
+    levels
+
+(* Every Table-1 program at every level, built once as native modules.  The
+   result is the toolchain's availability. *)
+let native_built =
+  lazy
+    (Native_substrate.build_all ~jobs:1
+       (List.concat_map
+          (fun (bm : Spec.benchmark) ->
+            let desc, mc, _ = setup bm in
+            List.map (fun level -> (Optimizer.apply ~level ~mc desc, mc)) levels)
+          Spec.all);
+     Native_substrate.available ())
+
+(* The native modules hold the same bound at every level: an emitted stage
+   works in place on the driver's register file and the module's state
+   rows. *)
+let test_native_steady_state_allocation (bm : Spec.benchmark) () =
+  match Lazy.force native_built with
+  | Error reason -> Printf.printf "native skipped: toolchain unavailable (%s)\n" reason
+  | Ok () ->
+    let desc, mc, init = setup bm in
+    let inputs =
+      Traffic.phvs (Traffic.create ~seed:0xA110C ~width:bm.Spec.bm_width ~bits:32) alloc_phvs
+    in
+    List.iter
+      (fun level ->
+        match Native_substrate.create ~init (Optimizer.apply ~level ~mc desc) ~mc with
+        | Error reason ->
+          Alcotest.failf "%s/%s: native build failed: %s" bm.Spec.bm_name
+            (Optimizer.level_name level) reason
+        | Ok packed ->
+          let buf = Trace.Buffer.create ~width:bm.Spec.bm_width ~capacity:alloc_phvs in
+          Substrate.run_into packed ~inputs buf;
+          let a0 = Gc.allocated_bytes () in
+          Substrate.run_into packed ~inputs buf;
+          let a1 = Gc.allocated_bytes () in
+          let per_phv = (a1 -. a0) /. float_of_int alloc_phvs in
+          if per_phv >= bytes_per_phv_bound then
+            Alcotest.failf "%s/%s: %.2f bytes allocated per steady-state native PHV (bound %.0f)"
+              bm.Spec.bm_name (Optimizer.level_name level) per_phv bytes_per_phv_bound)
+      levels
 
 (* The batched entry point ({!Substrate.run_batch_into}, now an alias of
    [run_into] kept for the benchmark's sources) must hold the same bound
@@ -179,7 +223,7 @@ let test_batched_equals_sequential (bm : Spec.benchmark) () =
           ("engine", fun () -> Druzhba_dsim.Substrate.of_engine ~init d ~mc);
           ("compiled", fun () -> Druzhba_dsim.Substrate.of_compiled ~init c);
         ])
-    [ Optimizer.Unoptimized; Optimizer.Scc; Optimizer.Scc_inline ]
+    levels
 
 (* A coverage probe installed and then removed ([Engine.instrument e
    (Some p)], then [None]) must leave the engine as it was: no callback
@@ -210,17 +254,18 @@ let test_removed_probe_is_free () =
   in
   let baseline = Engine.create ~init desc ~mc and removed = Engine.create ~init desc ~mc in
   let buf = Trace.Buffer.create ~width:bm.Spec.bm_width ~capacity:probe_phvs in
+  let run (engine : Engine.t) = Driver.run_into engine.Engine.driver ~inputs buf in
   Engine.instrument removed (Some probe);
-  Engine.run_into removed ~inputs buf;
+  run removed;
   if !hits = 0 then Alcotest.fail "the installed probe never fired";
   Engine.instrument removed None;
   hits := 0;
   let time engine =
     let t0 = Unix.gettimeofday () in
-    Engine.run_into engine ~inputs buf;
+    run engine;
     Unix.gettimeofday () -. t0
   in
-  Engine.run_into baseline ~inputs buf;
+  run baseline;
   let best_base = ref infinity and best_off = ref infinity in
   for _ = 1 to probe_reps do
     best_base := Float.min !best_base (time baseline);
@@ -229,13 +274,16 @@ let test_removed_probe_is_free () =
   let ratio = !best_off /. !best_base in
   Printf.printf "off/baseline %.3f (bound %.1f)\n" ratio probe_ratio_bound;
   Alcotest.(check int) "callbacks after removal" 0 !hits;
-  Engine.reset ~init removed;
-  Engine.run_into removed ~inputs buf;
+  run removed;
   let trace =
-    { Trace.inputs; outputs = Trace.Buffer.contents buf; final_state = Engine.current_state removed }
+    {
+      Trace.inputs;
+      outputs = Trace.Buffer.contents buf;
+      final_state = Driver.current_state removed.Engine.driver;
+    }
   in
   Alcotest.(check bool) "trace = never-instrumented engine's" true
-    (Trace.equal (Engine.run ~init desc ~mc ~inputs) trace);
+    (Trace.equal (Substrate.run (Substrate.of_engine ~init desc ~mc) ~inputs) trace);
   if not (ratio < probe_ratio_bound) then
     Alcotest.failf "removed probe costs %.3fx the never-instrumented engine (bound %.1f)" ratio
       probe_ratio_bound
@@ -247,32 +295,28 @@ let test_buffered_path_equals_frozen (bm : Spec.benchmark) () =
     (fun level ->
       let d = Optimizer.apply ~level ~mc desc in
       let c = Compile.compile d ~mc in
-      let reference = Engine.run ~init d ~mc ~inputs in
+      let reference = Substrate.run (Substrate.of_engine ~init d ~mc) ~inputs in
       (* frozen convenience path *)
-      let frozen = Compiled.run_compiled ~init c ~inputs in
+      let frozen = Substrate.run (Substrate.of_compiled ~init c) ~inputs in
       Alcotest.(check bool)
-        (Printf.sprintf "%s/%s run_compiled = Engine.run" bm.Spec.bm_name
+        (Printf.sprintf "%s/%s closures run = interpreter run" bm.Spec.bm_name
            (Optimizer.level_name level))
         true (Trace.equal reference frozen);
-      (* reusable-buffer fast path, twice through the same engine and buffer
+      (* reusable-buffer fast path, twice through the same driver and buffer
          (the second run must not see state from the first) *)
-      let t = Compiled.create c in
+      let t = Compiled.create ~init c in
       let buf = Trace.Buffer.create ~width:bm.Spec.bm_width ~capacity:10 (* forces growth *) in
-      Compiled.run_into ~init t ~inputs buf;
-      Compiled.run_into ~init t ~inputs buf;
+      Driver.run_into t ~inputs buf;
+      Driver.run_into t ~inputs buf;
       let buffered =
-        {
-          Trace.inputs;
-          outputs = Trace.Buffer.contents buf;
-          final_state = Compiled.current_state t;
-        }
+        { Trace.inputs; outputs = Trace.Buffer.contents buf; final_state = Driver.current_state t }
       in
       Alcotest.(check bool)
-        (Printf.sprintf "%s/%s run_into = Engine.run" bm.Spec.bm_name
+        (Printf.sprintf "%s/%s run_into = interpreter run" bm.Spec.bm_name
            (Optimizer.level_name level))
         true
         (Trace.equal reference buffered))
-    [ Optimizer.Unoptimized; Optimizer.Scc; Optimizer.Scc_inline ]
+    levels
 
 let () =
   Alcotest.run "perf"
@@ -286,6 +330,11 @@ let () =
         List.map
           (fun (bm : Spec.benchmark) ->
             Alcotest.test_case bm.Spec.bm_name `Quick (test_interpreter_steady_state_allocation bm))
+          Spec.all );
+      ( "steady-state allocation (native)",
+        List.map
+          (fun (bm : Spec.benchmark) ->
+            Alcotest.test_case bm.Spec.bm_name `Quick (test_native_steady_state_allocation bm))
           Spec.all );
       ( "steady-state allocation (scc+inline, batched)",
         List.map

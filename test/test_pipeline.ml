@@ -10,8 +10,8 @@ module Dgen = Druzhba_pipeline.Dgen
 module Names = Druzhba_pipeline.Names
 module Emit = Druzhba_pipeline.Emit
 module Optimizer = Druzhba_optimizer.Optimizer
-module Engine = Druzhba_dsim.Engine
-module Compiled = Druzhba_dsim.Compiled
+module Compile = Druzhba_pipeline.Compile
+module Substrate = Druzhba_dsim.Substrate
 module Phv = Druzhba_dsim.Phv
 module Traffic = Druzhba_dsim.Traffic
 module Trace = Druzhba_dsim.Trace
@@ -35,8 +35,13 @@ let neutral_mc (desc : Ir.t) =
     desc.Ir.d_stages;
   mc
 
+(* Frozen runs on the interpreter and on the closures. *)
+let interpreted desc ~mc ~inputs = Substrate.run (Substrate.of_engine desc ~mc) ~inputs
+let closures desc ~mc ~inputs =
+  Substrate.run (Substrate.of_compiled (Compile.compile desc ~mc)) ~inputs
+
 let run_outputs desc mc inputs =
-  let trace = Engine.run desc ~mc ~inputs in
+  let trace = interpreted desc ~mc ~inputs in
   trace.Trace.outputs
 
 (* --- Structural checks ------------------------------------------------------ *)
@@ -106,7 +111,7 @@ let test_accumulator_old_state () =
     "running sum, delayed"
     [ [ 0 ]; [ 5 ]; [ 12 ] ]
     (List.map Array.to_list outputs);
-  let trace = Engine.run desc ~mc ~inputs:[ [| 5 |]; [| 7 |]; [| 9 |] ] in
+  let trace = interpreted desc ~mc ~inputs:[ [| 5 |]; [| 7 |]; [| 9 |] ] in
   Alcotest.(check (option (list int)))
     "final state" (Some [ 21 ])
     (Option.map Array.to_list (Trace.find_state trace sf0))
@@ -152,22 +157,22 @@ let test_pipeline_latency_and_order () =
      pipeline fills (the two-halves rule: one stage per tick). *)
   let desc = gen ~depth:3 ~width:1 () in
   let mc = neutral_mc desc in
-  let eng = Engine.create desc ~mc in
+  let eng = Substrate.of_engine desc ~mc in
   Alcotest.(check (option (list int)))
     "tick 1: nothing out" None
-    (Option.map Array.to_list (Engine.step eng ~input:(Some [| 10 |])));
+    (Option.map Array.to_list (Substrate.step eng ~input:(Some [| 10 |])));
   Alcotest.(check (option (list int)))
     "tick 2: nothing out" None
-    (Option.map Array.to_list (Engine.step eng ~input:(Some [| 20 |])));
+    (Option.map Array.to_list (Substrate.step eng ~input:(Some [| 20 |])));
   Alcotest.(check (option (list int)))
     "tick 3: first PHV exits" (Some [ 10 ])
-    (Option.map Array.to_list (Engine.step eng ~input:(Some [| 30 |])));
+    (Option.map Array.to_list (Substrate.step eng ~input:(Some [| 30 |])));
   Alcotest.(check (option (list int)))
     "tick 4: second PHV exits" (Some [ 20 ])
-    (Option.map Array.to_list (Engine.step eng ~input:None));
+    (Option.map Array.to_list (Substrate.step eng ~input:None));
   Alcotest.(check (option (list int)))
     "tick 5: third PHV exits" (Some [ 30 ])
-    (Option.map Array.to_list (Engine.step eng ~input:None))
+    (Option.map Array.to_list (Substrate.step eng ~input:None))
 
 let test_state_visible_to_next_phv () =
   (* Back-to-back PHVs at the same stateful ALU observe strictly increasing
@@ -273,13 +278,13 @@ let check_three_versions ~stateful ~depth ~width ~seed =
   let inputs = Traffic.phvs traffic 40 in
   let v2 = Optimizer.scc_propagate ~mc desc in
   let v3 = Optimizer.apply ~level:Optimizer.Scc_inline ~mc desc in
-  let t1 = Engine.run desc ~mc ~inputs in
-  let t2 = Engine.run v2 ~mc ~inputs in
-  let t3 = Engine.run v3 ~mc ~inputs in
+  let t1 = interpreted desc ~mc ~inputs in
+  let t2 = interpreted v2 ~mc ~inputs in
+  let t3 = interpreted v3 ~mc ~inputs in
   (* the closure-compiled engine agrees with the interpreter on all versions *)
-  let c1 = Compiled.run desc ~mc ~inputs in
-  let c2 = Compiled.run v2 ~mc ~inputs in
-  let c3 = Compiled.run v3 ~mc ~inputs in
+  let c1 = closures desc ~mc ~inputs in
+  let c2 = closures v2 ~mc ~inputs in
+  let c3 = closures v3 ~mc ~inputs in
   List.for_all (equal_traces t1) [ t2; t3; c1; c2; c3 ]
 
 (* Machine code with out-of-domain selector values (e.g. a hand-written
@@ -305,9 +310,9 @@ let prop_out_of_domain_selectors =
           Machine_code.set mc name v)
         (Ir.control_domains desc);
       let inputs = Traffic.phvs (Traffic.create ~seed:(seed + 1) ~width ~bits:32) 25 in
-      let t1 = Engine.run desc ~mc ~inputs in
-      let t2 = Engine.run (Optimizer.scc_propagate ~mc desc) ~mc ~inputs in
-      let c3 = Compiled.run (Optimizer.apply ~level:Optimizer.Scc_inline ~mc desc) ~mc ~inputs in
+      let t1 = interpreted desc ~mc ~inputs in
+      let t2 = interpreted (Optimizer.scc_propagate ~mc desc) ~mc ~inputs in
+      let c3 = closures (Optimizer.apply ~level:Optimizer.Scc_inline ~mc desc) ~mc ~inputs in
       equal_traces t1 t2 && equal_traces t1 c3)
 
 (* Every selector at -1, at its bound n, and at n + 7, in unvalidated
@@ -329,7 +334,7 @@ let test_selectors_outside_domain () =
                 | Ir.Selector n -> selector n
                 | Ir.Immediate -> Prng.bits prng 32))
             (Ir.control_domains desc);
-          let reference = Engine.run desc ~mc ~inputs in
+          let reference = interpreted desc ~mc ~inputs in
           List.iter
             (fun level ->
               let d = Optimizer.apply ~level ~mc desc in
@@ -338,9 +343,9 @@ let test_selectors_outside_domain () =
                   (Optimizer.level_name level)
               in
               Alcotest.(check bool) (name "interpreter") true
-                (equal_traces reference (Engine.run d ~mc ~inputs));
+                (equal_traces reference (interpreted d ~mc ~inputs));
               Alcotest.(check bool) (name "closures") true
-                (equal_traces reference (Compiled.run d ~mc ~inputs)))
+                (equal_traces reference (closures d ~mc ~inputs)))
             [ Optimizer.Unoptimized; Optimizer.Scc; Optimizer.Scc_inline ])
         [ ("-1", fun _ -> -1); ("n", fun n -> n); ("n + 7", fun n -> n + 7) ])
     [ "raw"; "sub"; "pred_raw"; "if_else_raw"; "nested_ifs"; "pair" ]
@@ -359,8 +364,8 @@ let test_equivalence_all_stateless () =
       let desc = gen ~depth:2 ~width:2 ~stateless () in
       let mc = Fuzz.random_mc (Prng.create 7) desc in
       let inputs = Traffic.phvs (Traffic.create ~seed:8 ~width:2 ~bits:32) 30 in
-      let t1 = Engine.run desc ~mc ~inputs in
-      let t2 = Engine.run (Optimizer.scc_propagate ~mc desc) ~mc ~inputs in
+      let t1 = interpreted desc ~mc ~inputs in
+      let t2 = interpreted (Optimizer.scc_propagate ~mc desc) ~mc ~inputs in
       Alcotest.(check bool) ("equivalent: " ^ stateless) true (equal_traces t1 t2))
     [ "stateless_arith"; "stateless_rel"; "stateless_mux"; "stateless_logical"; "stateless_full" ]
 

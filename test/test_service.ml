@@ -190,6 +190,30 @@ let test_submission_rejects () =
   bad {|{"kind":"directed","witnesses":"druzhba-witnesses/1","files":{"witnesses.txt":"x"}}|}
     "witnesses.txt"
 
+(* A key that comes twice is refused and named, at the top level of either
+   kind of submission and among its inline files: the parser takes neither
+   value, and does not keep both. *)
+let test_submission_repeated_keys () =
+  let accepted =
+    List.filter_map
+      (fun (what, src, named) ->
+        match parse_sub src with
+        | Ok _ -> Some what
+        | Error e ->
+          Alcotest.(check bool) (what ^ ": names the key") true (contains ~affix:named e);
+          None)
+      [
+        ("kind", {|{"kind":"campaign","kind":"directed","trials":2}|}, {|repeated field "kind"|});
+        ( "directed phvs",
+          {|{"kind":"directed","witnesses":"druzhba-witnesses/1","phvs":5,"phvs":0}|},
+          {|repeated field "phvs"|} );
+        ( "file name",
+          {|{"kind":"campaign","trials":2,"files":{"a.alu":"x","a.alu":"y"}}|},
+          {|repeated file "a.alu"|} );
+      ]
+  in
+  Alcotest.(check (list string)) "accepted" [] accepted
+
 let test_submission_directed () =
   match parse_sub {|{"kind":"directed","witnesses":"druzhba-witnesses/1\ntrial a b 1,2","phvs":5}|} with
   | Error e -> Alcotest.fail e
@@ -922,6 +946,7 @@ let () =
           Alcotest.test_case "strict validation" `Quick test_submission_rejects;
           Alcotest.test_case "directed spec carries its witness file" `Quick
             test_submission_directed;
+          Alcotest.test_case "repeated keys are refused" `Quick test_submission_repeated_keys;
         ] );
       ( "config codec",
         [
