@@ -13,11 +13,11 @@ type domain =
 
 type slot = { slot_name : string; domain : domain } [@@deriving eq, show { with_path = false }]
 
-let mux_slot_name ~arity i = Printf.sprintf "mux%d_%d" arity i
-let opt_slot_name i = Printf.sprintf "opt_%d" i
-let const_slot_name i = Printf.sprintf "const_%d" i
-let rel_op_slot_name i = Printf.sprintf "rel_op_%d" i
-let arith_op_slot_name i = Printf.sprintf "arith_op_%d" i
+let mux_slot_name ~arity i = "mux" ^ string_of_int arity ^ "_" ^ string_of_int i
+let opt_slot_name i = "opt_" ^ string_of_int i
+let const_slot_name i = "const_" ^ string_of_int i
+let rel_op_slot_name i = "rel_op_" ^ string_of_int i
+let arith_op_slot_name i = "arith_op_" ^ string_of_int i
 
 (* Collects the slots of an expression in order of appearance. *)
 let rec expr_slots acc (e : Ast.expr) =

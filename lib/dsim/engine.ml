@@ -19,13 +19,17 @@ let no_state : int array = [||]
 
 (* Executes stage [rs] on the PHV in row s of [cur], writing the outgoing
    PHV into row s+1 of [nxt]: run all stateless and stateful ALUs on the
-   read half (blitted into [phv], so the ALUs see a plain width-sized PHV),
+   read half (copied into [phv], so the ALUs see a plain width-sized PHV),
    then let each output mux pick the value written to its container.  Fills
    the stage's scratch [args] buffer by index — no lists, no intermediate
-   arrays. *)
+   arrays.  Copies are loops: a row of a few containers costs less than an
+   [Array.blit] call. *)
 let exec_stage ctx (rs : Interp.stage) ~phv ~args ~state ~snapshots s cur nxt =
   let width = Array.length phv in
-  Array.blit cur (s * width) phv 0 width;
+  let src = s * width in
+  for c = 0 to width - 1 do
+    Array.unsafe_set phv c cur.(src + c)
+  done;
   let stateless = rs.Interp.st_stateless and stateful = rs.Interp.st_stateful in
   let nsl = Array.length stateless and nsf = Array.length stateful in
   for i = 0 to nsl - 1 do

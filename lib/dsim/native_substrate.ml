@@ -165,8 +165,9 @@ let artifact_file key = Filename.concat (cache_dir ()) (module_name key ^ ".cmxs
    its own.  Exposed so tests and operators can inspect, pre-seed, or evict
    cache entries.  Within one process a path that has already been
    Dynlinked is served from the loader's handle cache: replacing the file
-   has no effect until a fresh process reads it, and overwriting it in
-   place can crash this one, since the loaded code is mapped from it. *)
+   has no effect on a later load of that path (so {!create}'s recovery
+   loads a rebuilt artifact from a private copy), and overwriting it in
+   place can crash this process, since the loaded code is mapped from it. *)
 let artifact_path (desc : Ir.t) ~mc = artifact_file (content_key (Emit.native_source desc ~mc))
 
 let remove_tree dir =
@@ -285,6 +286,25 @@ let load_cmxs path : (Native_abi.plugin, string) result =
   | Ok [] -> Error "loaded module did not register a plugin"
   | Ok ps -> Error (Printf.sprintf "loaded module registered %d plugins, not one" (List.length ps))
 
+(* [load_cmxs] on a fresh copy of [path], which is removed once loaded
+   (the loaded code stays mapped).  The dynamic loader serves a path it
+   has opened before from its handle cache, even when the file was
+   replaced since, so an artifact rebuilt at a path this process has
+   loaded and refused is only ever read under another name. *)
+let load_copy path : (Native_abi.plugin, string) result =
+  match Filename.temp_file ~temp_dir:(Filename.dirname path) "load." ".cmxs" with
+  | exception Sys_error msg -> Error msg
+  | copy ->
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove copy with Sys_error _ -> ())
+      (fun () ->
+        match
+          let bytes = In_channel.with_open_bin path In_channel.input_all in
+          Out_channel.with_open_bin copy (fun oc -> Out_channel.output_string oc bytes)
+        with
+        | exception Sys_error msg -> Error msg
+        | () -> load_cmxs copy)
+
 let fits (desc : Ir.t) (p : Native_abi.plugin) =
   p.Native_abi.np_depth = desc.Ir.d_depth && p.Native_abi.np_width = desc.Ir.d_width
 
@@ -359,12 +379,14 @@ let build tc (desc : Ir.t) ~source ~key : (Native_abi.plugin, string) result =
       match load path with
       | Ok p -> Ok p
       | Error first -> (
-        (* a corrupted cached artifact (torn write from a killed
-           process, stale compiler) is evicted and rebuilt once *)
+        (* a refused cached artifact (torn write from a killed process,
+           stale compiler, a module that registers no plugin) is evicted
+           and rebuilt once, and the rebuilt one is loaded from a copy:
+           under [path] the loader may serve the refused module again *)
         (try Sys.remove path with Sys_error _ -> ());
         match compile_cmxs tc ~source ~key with
         | Error e -> Error (Printf.sprintf "%s (after evicting corrupt cache: %s)" e first)
-        | Ok path -> load path))
+        | Ok path -> Mutex.protect lock (fun () -> load_copy path)))
   in
   match result with
   | Ok p when not (fits desc p) -> Error "loaded plugin geometry does not match the description"

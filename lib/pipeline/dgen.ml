@@ -41,9 +41,15 @@ let selector_chain ctrl choices =
    Each helper has exactly one call site; its name doubles as the
    machine-code name of the control that configures it. *)
 
+(* [prefix] followed by each index below [n]: a helper's parameter names. *)
+let numbered prefix n = List.init n (fun i -> prefix ^ string_of_int i)
+
+let vars names = List.map (fun v -> Ir.Var v) names
+
 let mux_helper name arity =
-  let params = List.init arity (Printf.sprintf "op%d") @ [ "ctrl" ] in
-  let choices = List.init arity (fun i -> Ir.Var (Printf.sprintf "op%d" i)) in
+  let operands = numbered "op" arity in
+  let params = operands @ [ "ctrl" ] in
+  let choices = vars operands in
   {
     Ir.h_name = name;
     h_params = params;
@@ -82,8 +88,9 @@ let arith_op_helper name =
   }
 
 let input_mux_helper name width =
-  let params = List.init width (Printf.sprintf "phv%d") @ [ "ctrl" ] in
-  let choices = List.init width (fun i -> Ir.Var (Printf.sprintf "phv%d" i)) in
+  let containers = numbered "phv" width in
+  let params = containers @ [ "ctrl" ] in
+  let choices = vars containers in
   {
     Ir.h_name = name;
     h_params = params;
@@ -101,18 +108,12 @@ let input_mux_helper name width =
    flowlets consume the written value while programs like the learn filter
    consume the read value. *)
 let output_mux_helper name width =
-  let params =
-    List.init width (Printf.sprintf "stateless%d")
-    @ List.init width (Printf.sprintf "stateful%d")
-    @ List.init width (Printf.sprintf "stateful_new%d")
-    @ [ "old"; "ctrl" ]
+  let data =
+    numbered "stateless" width @ numbered "stateful" width @ numbered "stateful_new" width
+    @ [ "old" ]
   in
-  let choices =
-    List.init width (fun i -> Ir.Var (Printf.sprintf "stateless%d" i))
-    @ List.init width (fun i -> Ir.Var (Printf.sprintf "stateful%d" i))
-    @ List.init width (fun i -> Ir.Var (Printf.sprintf "stateful_new%d" i))
-    @ [ Ir.Var "old" ]
-  in
+  let params = data @ [ "ctrl" ] in
+  let choices = vars data in
   {
     Ir.h_name = name;
     h_params = params;

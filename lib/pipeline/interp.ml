@@ -14,13 +14,23 @@
    A tick then costs the resolved nodes it walks plus one read of the
    values array per [Mc] use (and per output-mux control) — the paper's
    version 1, whose generated code reads each machine-code value at run
-   time from the map it is given.  SCC propagation removes those reads and
-   the selector chains and opcode dispatch that consume them, and inlining
-   removes the helper frames, so the relative runtimes of the three
-   optimization levels keep the shape of the paper's Table 1.  The values
-   are copied from the program when a name is resolved, so a context reads
-   the machine code it was built with: a later [Machine_code.set] or
-   [remove] does not reach it.
+   time from the map it is given.  Some shapes cost less than their nodes.
+   A selector chain [if v == 0 then a0 else if v == 1 then a1 ... else d]
+   on a bound variable, the body of every mux, opcode and output-mux
+   helper, resolves to one [Switch]: a tick reads the selector's slot
+   once, makes one bounds check and runs the chosen arm, as a compiler
+   lowers such a chain to a jump table.  A comparison that decides a
+   [Cond] or an [If] yields its bool with no 0/1 in between.  And a call
+   reads its variable, container and machine-code arguments in place.
+   None of this removes a read: version 1 still reads each [Mc] at every
+   use, and still calls a helper, in a frame of its own, to reach each
+   switch.  SCC propagation removes those reads and the selector chains
+   and opcode dispatch that consume them, and inlining removes the helper
+   frames, so the relative runtimes of the three optimization levels keep
+   the shape of the paper's Table 1.  The values are copied from the
+   program when a name is resolved, so a context reads the machine code
+   it was built with: a later [Machine_code.set] or [remove] does not
+   reach it.
 
    Resolution never fails.  An unknown helper, an unbound variable, a
    missing machine-code pair or an arity mismatch raises when a tick
@@ -61,6 +71,7 @@ type expr =
   | Unop of Ir.unop * expr
   | Binop of Ir.binop * expr * expr
   | Cond of expr * expr * expr
+  | Switch of int * expr array * expr (* selector slot, arms 0 .. n-1, default *)
   | Call of helper * expr array
   | Unknown_call of string
 
@@ -129,9 +140,24 @@ let set_probe ctx probe =
 
 (* --- Resolution ---------------------------------------------------------------- *)
 
-(* [scope] maps names to slots, innermost binding first. *)
+(* The arms [a0; a1; ...] of a selector chain [if v == 0 then a0 else if
+   v == 1 then a1 ... else d] on variable [v], and its default [d]. *)
+let rec chain_arms v k arms (e : Ir.expr) =
+  match e with
+  | Ir.Cond (Ir.Binop (Ir.Eq, Ir.Var w, Ir.Const j), a, rest) when j = k && String.equal v w ->
+    chain_arms v (k + 1) (a :: arms) rest
+  | _ -> (List.rev arms, e)
+
+(* [scope] maps names to slots, innermost binding first.  A selector chain
+   on a bound variable becomes a [Switch]: it reads nothing but the
+   variable's slot before choosing an arm, so the switch raises what the
+   chain raises. *)
 let rec resolve_expr ctx scope (e : Ir.expr) : expr =
   match e with
+  | Ir.Cond (Ir.Binop (Ir.Eq, Ir.Var v, Ir.Const 0), _, _) when List.mem_assoc v scope ->
+    let arms, default = chain_arms v 0 [] e in
+    let arms = Array.of_list (List.map (resolve_expr ctx scope) arms) in
+    Switch (List.assoc v scope, arms, resolve_expr ctx scope default)
   | Ir.Const n -> Const n
   | Ir.Var x -> ( match List.assoc_opt x scope with Some i -> Slot i | None -> Unbound x)
   | Ir.Mc name -> ( match Mc_values.slot ctx.mc name with -1 -> Absent name | i -> Mc i)
@@ -242,7 +268,7 @@ let grow ctx size =
    runs in it.  Arguments past the shorter of the parameter and argument
    lists are never evaluated, and a length mismatch then raises what
    [List.fold_left2] raises. *)
-let rec eval_in ctx ~phv ~state fp sp (e : expr) =
+let rec eval_in ctx ~phv ~state fp sp (e : expr) : int =
   match e with
   | Const n -> n
   | Slot i -> Array.unsafe_get ctx.stack (fp + i)
@@ -256,20 +282,63 @@ let rec eval_in ctx ~phv ~state fp sp (e : expr) =
   | Binop (op, a, b) ->
     apply_binop ctx.bits op (eval_in ctx ~phv ~state fp sp a) (eval_in ctx ~phv ~state fp sp b)
   | Cond (c, a, b) ->
-    if Value.is_true (eval_in ctx ~phv ~state fp sp c) then eval_in ctx ~phv ~state fp sp a
+    if test ctx ~phv ~state fp sp c then eval_in ctx ~phv ~state fp sp a
     else eval_in ctx ~phv ~state fp sp b
+  | Switch (i, arms, default) ->
+    let sel = Array.unsafe_get ctx.stack (fp + i) in
+    (* a selector outside [0, n), negative ones included, takes the default *)
+    let arm = if sel >= 0 && sel < Array.length arms then Array.unsafe_get arms sel else default in
+    (* a mux's arms are its parameters: read in place, not by [eval_in] *)
+    (match arm with
+    | Slot j -> Array.unsafe_get ctx.stack (fp + j)
+    | _ -> eval_in ctx ~phv ~state fp sp arm)
   | Call (h, args) ->
     let top = sp + h.h_arity in
     if top > Array.length ctx.stack then grow ctx top;
     let n = min h.h_arity (Array.length args) in
     for i = 0 to n - 1 do
-      let v = eval_in ctx ~phv ~state fp top (Array.unsafe_get args i) in
+      (* most arguments are a variable, a container or a machine-code
+         value (the call's control): those are read in place *)
+      let v =
+        match Array.unsafe_get args i with
+        | Slot j -> Array.unsafe_get ctx.stack (fp + j)
+        | Phv k -> Array.unsafe_get phv k
+        | Mc j -> Array.unsafe_get ctx.mc.Mc_values.values j
+        | a -> eval_in ctx ~phv ~state fp top a
+      in
       (* re-read [stack]: the argument may have grown it *)
       Array.unsafe_set ctx.stack (sp + i) v
     done;
     if Array.length args <> h.h_arity then invalid_arg "List.fold_left2";
     eval_in ctx ~phv ~state sp top h.h_body
   | Unknown_call name -> invalid_arg (Printf.sprintf "Interp: unknown helper '%s'" name)
+
+(* [Value.is_true] of condition [c]'s value.  A comparison yields the bool
+   its [Value] function would encode as 0/1, and a bare slot (the Opt
+   helper's control) is tested in place.  The right operand runs first, as
+   in [apply_binop bits op (eval a) (eval b)]. *)
+and test ctx ~phv ~state fp sp (c : expr) =
+  match c with
+  | Slot i -> Array.unsafe_get ctx.stack (fp + i) <> 0
+  | Binop (Ir.Eq, a, b) ->
+    let b = eval_in ctx ~phv ~state fp sp b in
+    eval_in ctx ~phv ~state fp sp a = b
+  | Binop (Ir.Neq, a, b) ->
+    let b = eval_in ctx ~phv ~state fp sp b in
+    eval_in ctx ~phv ~state fp sp a <> b
+  | Binop (Ir.Lt, a, b) ->
+    let b = eval_in ctx ~phv ~state fp sp b in
+    eval_in ctx ~phv ~state fp sp a < b
+  | Binop (Ir.Gt, a, b) ->
+    let b = eval_in ctx ~phv ~state fp sp b in
+    eval_in ctx ~phv ~state fp sp a > b
+  | Binop (Ir.Le, a, b) ->
+    let b = eval_in ctx ~phv ~state fp sp b in
+    eval_in ctx ~phv ~state fp sp a <= b
+  | Binop (Ir.Ge, a, b) ->
+    let b = eval_in ctx ~phv ~state fp sp b in
+    eval_in ctx ~phv ~state fp sp a >= b
+  | _ -> Value.is_true (eval_in ctx ~phv ~state fp sp c)
 
 (* Evaluates a resolved expression outside any frame. *)
 let eval ctx ~phv ~state e = eval_in ctx ~phv ~state 0 0 e
@@ -291,7 +360,7 @@ let rec exec ctx ~phv ~read ~write sp (stmts : stmt list) =
       write.(k) <- eval_in ctx ~phv ~state:read 0 sp e;
       exec ctx ~phv ~read ~write sp rest
     | If (_, c, a, b) ->
-      let branch = if Value.is_true (eval_in ctx ~phv ~state:read 0 sp c) then a else b in
+      let branch = if test ctx ~phv ~state:read 0 sp c then a else b in
       exec ctx ~phv ~read ~write sp branch || exec ctx ~phv ~read ~write sp rest
     | Return e ->
       ctx.ret <- eval_in ctx ~phv ~state:read 0 sp e;
@@ -314,7 +383,7 @@ let rec exec_probed ctx pr ~alu_name ~phv ~read ~write sp (stmts : stmt list) =
       pr.pr_latch ~alu:alu_name ~slot:k;
       exec_probed ctx pr ~alu_name ~phv ~read ~write sp rest
     | If (site, c, a, b) ->
-      let taken = Value.is_true (eval_in ctx ~phv ~state:read 0 sp c) in
+      let taken = test ctx ~phv ~state:read 0 sp c in
       pr.pr_branch ~alu:alu_name ~site ~taken;
       exec_probed ctx pr ~alu_name ~phv ~read ~write sp (if taken then a else b)
       || exec_probed ctx pr ~alu_name ~phv ~read ~write sp rest
@@ -348,8 +417,10 @@ let run_alu_probed ctx (alu : alu) ~phv ~state ~snapshot ~default =
    as [state] (the tick engine preallocates one per stateful ALU), while
    writes land in the live vector. *)
 let run_alu_into ctx (alu : alu) ~phv ~state ~snapshot =
-  let n = Array.length state in
-  if n > 0 then Array.blit state 0 snapshot 0 n;
+  (* a loop, not [Array.blit]: latching 1-5 slots costs less than the C call *)
+  for k = 0 to Array.length state - 1 do
+    snapshot.(k) <- Array.unsafe_get state k
+  done;
   let sp = alu.a_frame in
   if sp > Array.length ctx.stack then grow ctx sp;
   let default = eval_in ctx ~phv ~state:snapshot 0 sp alu.a_default in
@@ -374,7 +445,9 @@ let run_mux ctx (m : mux) ~(args : int array) ~n_args =
     let arity = m_helper.h_arity in
     if arity > Array.length ctx.stack then grow ctx arity;
     let stack = ctx.stack in
-    Array.blit args 0 stack 0 (min arity n_args);
+    for i = 0 to min arity n_args - 1 do
+      Array.unsafe_set stack i args.(i)
+    done;
     for i = n_args to arity - 1 do
       if not (Array.unsafe_get m_ctrl i) then
         invalid_arg (Printf.sprintf "Interp: output mux '%s' has too many parameters" m_name);

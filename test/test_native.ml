@@ -207,6 +207,54 @@ let test_corrupted_cmxs_recovery () =
       Substrate.run_into packed ~inputs buf;
       Alcotest.(check int) "recovered module simulates" 8 (Trace.Buffer.length buf))
 
+(* A cached artifact that Dynlink accepts but that registers no plugin (a
+   foreign or stale module at the content address) is refused, evicted
+   and rebuilt at the same path, which the loader has already opened: the
+   rebuilt module must still load in this process, not only in the next
+   one, and simulate as the interpreter does. *)
+let test_refused_cmxs_recovery () =
+  with_temp_cache_dir (fun dir ->
+      let desc =
+        Dgen.generate
+          (Dgen.config ~depth:2 ~width:2 ~bits:8 ())
+          ~stateful:(Atoms.find_exn "pair") ~stateless:(Atoms.find_exn "stateless_arith")
+      in
+      let mc = Fuzz.random_mc (Prng.create 515151) desc in
+      let tc =
+        match Native_substrate.probe () with
+        | Ok tc -> tc
+        | Error reason -> Alcotest.failf "toolchain vanished: %s" reason
+      in
+      let plant = dir ^ "-plant" in
+      Unix.mkdir dir 0o755;
+      Unix.mkdir plant 0o755;
+      let ml = Filename.concat plant "no_plugin.ml"
+      and planted = Filename.concat plant "no_plugin.cmxs" in
+      Out_channel.with_open_bin ml (fun oc -> output_string oc "let loaded = ()\n");
+      let status =
+        Sys.command
+          (Filename.quote_command tc.Native_substrate.tc_ocamlopt ~stdout:Filename.null
+             ~stderr:Filename.null [ "-shared"; "-o"; planted; ml ])
+      in
+      Alcotest.(check int) "the planted module compiles" 0 status;
+      let cmxs = Native_substrate.artifact_path desc ~mc in
+      Out_channel.with_open_bin cmxs (fun oc ->
+          output_string oc (In_channel.with_open_bin planted In_channel.input_all));
+      Array.iter (fun e -> Sys.remove (Filename.concat plant e)) (Sys.readdir plant);
+      Unix.rmdir plant;
+      let native =
+        match Native_substrate.create desc ~mc with
+        | Ok packed -> packed
+        | Error reason -> Alcotest.failf "create after a refused artifact: %s" reason
+      in
+      (match find_cmxs dir with
+      | [ rebuilt ] -> Alcotest.(check string) "rebuilt at the content address" cmxs rebuilt
+      | files -> Alcotest.failf "expected exactly one cached .cmxs, found %d" (List.length files));
+      let inputs = Traffic.phvs (Traffic.create ~seed:9 ~width:2 ~bits:8) 30 in
+      let run sub = observe ~batched:false ~inputs ~width:2 sub in
+      Alcotest.(check bool) "the recovered module agrees with the interpreter" true
+        (run native = run (Substrate.of_engine ~label:"interpreter" desc ~mc)))
+
 (* --- Concurrent builds --------------------------------------------------------- *)
 
 (* Runs each thunk on its own domain, released together, and returns their
@@ -550,6 +598,7 @@ let available_suites =
       [
         Alcotest.test_case "memo and disk hits" `Quick test_cache_hit_miss;
         Alcotest.test_case "corrupted cmxs recovery" `Quick test_corrupted_cmxs_recovery;
+        Alcotest.test_case "refused cmxs recovers in process" `Quick test_refused_cmxs_recovery;
       ] );
     ( "concurrency",
       [

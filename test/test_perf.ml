@@ -5,11 +5,13 @@
    is a preallocated ping-pong pair, stages run through scratch buffers, and
    outputs are blitted into the buffer's preallocated rows.  The test runs
    every Table-1 program at scc+inline (the Table-1 configuration) on the
-   compiled closures and asserts [Gc.allocated_bytes] per steady-state PHV
-   stays below a small fixed bound; per-run setup (re-arming the state,
-   closures) is amortized over the workload and real regressions — a fresh
-   block per tick anywhere in the driver, compiled ALUs, or muxes — cost
-   tens to thousands of bytes per PHV, far above the bound.
+   compiled closures and asserts the bytes allocated per steady-state PHV
+   ({!bytes_per_phv}) stay below a small fixed bound; per-run setup
+   (re-arming the state, closures) is amortized over the workload and real
+   regressions — a fresh block per tick anywhere in the driver, compiled
+   ALUs, or muxes — cost tens to thousands of bytes per PHV, far above the
+   bound.  A stage planted to allocate one small block per call must read
+   above it.
 
    The interpreter and the native modules hold it too, at every
    optimization level.
@@ -50,6 +52,21 @@ let bytes_per_phv_bound = 64.0
 let alloc_phvs = 2_000
 let levels = [ Optimizer.Unoptimized; Optimizer.Scc; Optimizer.Scc_inline ]
 
+(* Bytes allocated per PHV by the second of two calls of [run], which runs
+   [alloc_phvs] PHVs (the first pages in code paths and triggers any
+   one-time lazy work).  A minor collection before each reading empties
+   the minor heap, so [Gc.allocated_bytes] counts every byte: with blocks
+   still in the minor heap, OCaml 5.1's counter credits their words as
+   bytes, an eighth of what they take. *)
+let bytes_per_phv run =
+  run ();
+  Gc.minor ();
+  let a0 = Gc.allocated_bytes () in
+  run ();
+  Gc.minor ();
+  let a1 = Gc.allocated_bytes () in
+  (a1 -. a0) /. float_of_int alloc_phvs
+
 let setup (bm : Spec.benchmark) =
   let compiled = Spec.compile_exn bm in
   let mc = compiled.Codegen.c_mc in
@@ -65,12 +82,7 @@ let test_steady_state_allocation (bm : Spec.benchmark) () =
   let v3 = Optimizer.apply ~level:Optimizer.Scc_inline ~mc desc in
   let t = Compiled.create ~init (Compile.compile v3 ~mc) in
   let buf = Trace.Buffer.create ~width:bm.Spec.bm_width ~capacity:alloc_phvs in
-  (* warm-up: page in code paths, trigger any one-time lazy work *)
-  Driver.run_into t ~inputs buf;
-  let a0 = Gc.allocated_bytes () in
-  Driver.run_into t ~inputs buf;
-  let a1 = Gc.allocated_bytes () in
-  let per_phv = (a1 -. a0) /. float_of_int alloc_phvs in
+  let per_phv = bytes_per_phv (fun () -> Driver.run_into t ~inputs buf) in
   if per_phv >= bytes_per_phv_bound then
     Alcotest.failf "%s: %.2f bytes allocated per steady-state PHV (bound %.0f)" bm.Spec.bm_name
       per_phv bytes_per_phv_bound
@@ -90,11 +102,7 @@ let test_interpreter_steady_state_allocation (bm : Spec.benchmark) () =
     (fun level ->
       let t = (Engine.create ~init (Optimizer.apply ~level ~mc desc) ~mc).Engine.driver in
       let buf = Trace.Buffer.create ~width:bm.Spec.bm_width ~capacity:alloc_phvs in
-      Driver.run_into t ~inputs buf;
-      let a0 = Gc.allocated_bytes () in
-      Driver.run_into t ~inputs buf;
-      let a1 = Gc.allocated_bytes () in
-      let per_phv = (a1 -. a0) /. float_of_int alloc_phvs in
+      let per_phv = bytes_per_phv (fun () -> Driver.run_into t ~inputs buf) in
       if per_phv >= bytes_per_phv_bound then
         Alcotest.failf "%s/%s: %.2f bytes allocated per steady-state PHV (bound %.0f)"
           bm.Spec.bm_name (Optimizer.level_name level) per_phv bytes_per_phv_bound)
@@ -131,11 +139,7 @@ let test_native_steady_state_allocation (bm : Spec.benchmark) () =
             (Optimizer.level_name level) reason
         | Ok packed ->
           let buf = Trace.Buffer.create ~width:bm.Spec.bm_width ~capacity:alloc_phvs in
-          Substrate.run_into packed ~inputs buf;
-          let a0 = Gc.allocated_bytes () in
-          Substrate.run_into packed ~inputs buf;
-          let a1 = Gc.allocated_bytes () in
-          let per_phv = (a1 -. a0) /. float_of_int alloc_phvs in
+          let per_phv = bytes_per_phv (fun () -> Substrate.run_into packed ~inputs buf) in
           if per_phv >= bytes_per_phv_bound then
             Alcotest.failf "%s/%s: %.2f bytes allocated per steady-state native PHV (bound %.0f)"
               bm.Spec.bm_name (Optimizer.level_name level) per_phv bytes_per_phv_bound)
@@ -152,11 +156,9 @@ let test_batched_steady_state_allocation (bm : Spec.benchmark) () =
   let v3 = Optimizer.apply ~level:Optimizer.Scc_inline ~mc desc in
   let packed = Druzhba_dsim.Substrate.of_compiled ~init (Compile.compile v3 ~mc) in
   let buf = Trace.Buffer.create ~width:bm.Spec.bm_width ~capacity:alloc_phvs in
-  Druzhba_dsim.Substrate.run_batch_into ~batch:64 packed ~inputs buf;
-  let a0 = Gc.allocated_bytes () in
-  Druzhba_dsim.Substrate.run_batch_into ~batch:64 packed ~inputs buf;
-  let a1 = Gc.allocated_bytes () in
-  let per_phv = (a1 -. a0) /. float_of_int alloc_phvs in
+  let per_phv =
+    bytes_per_phv (fun () -> Druzhba_dsim.Substrate.run_batch_into ~batch:64 packed ~inputs buf)
+  in
   if per_phv >= bytes_per_phv_bound then
     Alcotest.failf "%s: %.2f bytes allocated per steady-state batched PHV (bound %.0f)"
       bm.Spec.bm_name per_phv bytes_per_phv_bound
@@ -178,14 +180,30 @@ let test_drmt_steady_state_allocation make mode () =
   let inputs = Drmt_substrate.traffic ~seed:0xA110C sub alloc_phvs in
   let packed = Drmt_substrate.pack sub in
   let buf = Trace.Buffer.create ~width:(Substrate.width packed) ~capacity:alloc_phvs in
-  Substrate.run_into packed ~inputs buf;
-  let a0 = Gc.allocated_bytes () in
-  Substrate.run_into packed ~inputs buf;
-  let a1 = Gc.allocated_bytes () in
-  let per_packet = (a1 -. a0) /. float_of_int alloc_phvs in
+  let per_packet = bytes_per_phv (fun () -> Substrate.run_into packed ~inputs buf) in
   if per_packet >= bytes_per_phv_bound then
     Alcotest.failf "%s: %.2f bytes allocated per steady-state packet (bound %.0f)"
       (Substrate.name packed) per_packet bytes_per_phv_bound
+
+(* The gate sees a stage that allocates: a one-stage driver whose stage
+   function allocates a 9-word block (an 8-element array) per call, 72
+   bytes per PHV, must read above the bound. *)
+let sink = ref [||]
+
+let test_allocating_stage_fails () =
+  let width = 2 in
+  let exec s cur nxt =
+    sink := Array.make 8 s;
+    Array.blit cur (s * width) nxt ((s + 1) * width) width
+  in
+  let t = Driver.create ~label:"allocating" ~width ~exec [| [||] |] in
+  let inputs = Traffic.phvs (Traffic.create ~seed:0xA110C ~width ~bits:32) alloc_phvs in
+  let buf = Trace.Buffer.create ~width ~capacity:alloc_phvs in
+  let per_phv = bytes_per_phv (fun () -> Driver.run_into t ~inputs buf) in
+  Printf.printf "planted stage: %.2f bytes per PHV (bound %.0f)\n" per_phv bytes_per_phv_bound;
+  if not (per_phv >= bytes_per_phv_bound) then
+    Alcotest.failf "a 9-word block per stage call read %.2f bytes per PHV, under the bound %.0f"
+      per_phv bytes_per_phv_bound
 
 (* Batched = sequential on every Table-1 program, level and substrate, at
    two batch sizes the {!Substrate.run_batch_into} alias must ignore.  The
@@ -350,6 +368,8 @@ let () =
                   (test_drmt_steady_state_allocation make mode))
               [ (Drmt_substrate.Event, "event"); (Drmt_substrate.Sequential, "sequential") ])
           drmt_programs );
+      ( "allocation gate",
+        [ Alcotest.test_case "a 9-word stage fails the gate" `Quick test_allocating_stage_fails ] );
       ( "batched = sequential (all levels, both substrates)",
         List.map
           (fun (bm : Spec.benchmark) ->

@@ -184,7 +184,10 @@ let closure_evals bits e ~phv ~state ~expected ~helpers ~call ~expected_call =
   @ fused
 
 (* Three evaluators of one random expression: the interpreter (the
-   reference), the symbolic normal form, and the closure compiler. *)
+   reference), the symbolic normal form, and the closure compiler.  The
+   helper call is checked by all three too: the symbolic evaluator binds
+   the helper's parameters itself and shares no code with the
+   interpreter's selector switch or the closures'. *)
 let qcheck_eval_agrees bits =
   QCheck.Test.make
     ~name:(Printf.sprintf "symbolic eval agrees with Interp at %d bits" bits)
@@ -215,7 +218,12 @@ let qcheck_eval_agrees bits =
       let got = Symbolic.eval_concrete ~bits ~assign sym in
       if got <> expected then
         QCheck.Test.fail_reportf "normal form %s evaluates to %d, interpreter says %d"
-          (Symbolic.to_string sym) got expected
+          (Symbolic.to_string sym) got expected;
+      let sym_call = Symbolic.eval env call in
+      let got_call = Symbolic.eval_concrete ~bits ~assign sym_call in
+      if got_call <> expected_call then
+        QCheck.Test.fail_reportf "helper call's normal form %s evaluates to %d, interpreter says %d"
+          (Symbolic.to_string sym_call) got_call expected_call
       else true)
 
 (* --- Table-1: every optimizer pass is proved equivalent --------------------- *)
